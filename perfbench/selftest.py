@@ -20,7 +20,7 @@ import run
 from scenes import Scene, crossing_events, frame_name, read_pgm, render, write_pgm
 
 SCENE = Scene("selftest", 8, 6, 256, 30, (100.0, 3.0), (5, 3, 3, 3, 140.0, 3.0),
-              (180.0, 6.0), crossing_events(8, 6, 30, (5, 3), 2), kmax=2,
+              (180.0, 6.0), crossing_events(8, 6, 30, (5, 3), (("lr", 0), ("tb", 3))), kmax=2,
               mode="approx", tail_pct=50.0, freeze=(3, 29))
 
 
