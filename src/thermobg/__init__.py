@@ -11,20 +11,19 @@ from .adapt import (AdaptationConfig, EpsilonResult, HistoryPool, adapt,
                     decide, epsilon_star_approx, epsilon_star_exact,
                     match_component, spawn_component, update_matched,
                     weight_after_matches, weight_after_misses)
-from .core import (VARIANCE_FLOOR, GaussianComponent, MixtureModel, digamma,
-                   gaussian_cdf, gaussian_pdf, log_gaussian_pdf,
-                   log_mixture_density, mixture_density)
-from .engine import (FrameSequence, ModelFormatError, PixelGrid,
-                     initialize_grid, load_grid, process_frame, save_grid)
+from .core import (VARIANCE_FLOOR, MixtureModel, digamma, gaussian_cdf,
+                   gaussian_pdf, log_gaussian_pdf, log_mixture_density,
+                   mixture_density)
+from .engine import (ModelFormatError, PixelGrid, initialize_grid, load_grid,
+                     process_frame, save_grid)
 from .fit import (FitConfig, FitResult, Priors, VariationalPosterior,
                   default_priors, e_step, elbo, fit, kmeanspp_init, m_step)
-from .frameio import (FrameFormatError, FrameSource, read_mask, read_pgm,
+from .frameio import (FrameFormatError, FrameSequence, read_mask, read_pgm,
                       read_pgm_sequence, read_raw_sequence, write_mask,
                       write_pgm, write_posterior)
 from .metrics import ConfusionCounts, accumulate, metrics
 from .segment import (BACKGROUND, FOREGROUND, MaskFrame, SegmentationConfig,
-                      StandingObjectScenario, blob_filter, classify_pixel,
-                      frames_to_background, posterior_bg)
+                      blob_filter, posterior_bg)
 from .synth import (BimodalRegion, GaussianSpec, VideoEvent, VideoScenario,
                     gen_mixture_samples, gen_video, load_scenario,
                     parse_scenario, quantize_frames)

@@ -23,14 +23,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, frameio
 from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool
 from .core import MixtureModel, mixture_density
-from .engine import (FrameSequence, ModelFormatError, PixelGrid,
-                     default_workers, initialize_grid, load_grid,
-                     process_frame, save_grid)
+from .engine import (ModelFormatError, PixelGrid, default_workers,
+                     initialize_grid, load_grid, process_frame, save_grid)
 from .fit import FitConfig, fit
-from .frameio import (FrameFormatError, FrameSource, read_pgm, write_mask,
+from .frameio import (FrameFormatError, FrameSequence, read_pgm, write_mask,
                       write_posterior)
 from .metrics import ConfusionCounts, accumulate, metrics
 from .segment import SegmentationConfig
@@ -157,16 +156,16 @@ def _add_input_args(parser) -> None:
                         choices=("little", "big"), help="raw byte order")
 
 
-def _load_frames(args) -> tuple[FrameSequence, list[str]]:
+def _load_frames(args, limit: int | None = None
+                 ) -> tuple[FrameSequence, list[str]]:
+    """The input frames (the first ``limit`` of them, if given) and the
+    file name each frame's outputs are written under."""
     if args.raw_size:
         w, h = _parse_size(args.raw_size)
-        src = FrameSource(path=args.input, kind="raw", width=w, height=h,
-                          depth=args.depth, endianness=args.endian)
-        seq = src.load()
-        names = [f"frame_{i:06d}.pgm" for i in range(seq.n_frames)]
-        return seq, names
-    from .frameio import read_pgm_sequence
-    seq, paths = read_pgm_sequence(args.input)
+        seq = frameio.read_raw_sequence(args.input, w, h, args.depth,
+                                        args.endian, limit)
+        return seq, [f"frame_{i:06d}.pgm" for i in range(seq.n_frames)]
+    seq, paths = frameio.read_pgm_sequence(args.input, limit)
     return seq, [os.path.basename(p) for p in paths]
 
 
@@ -180,13 +179,12 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def cmd_fit(args) -> int:
     t0 = time.time()
-    seq, _ = _load_frames(args)
-    if seq.n_frames < args.history:
-        raise ValueError(f"need at least {args.history} frames for the "
-                         f"history, input has {seq.n_frames}")
-    history = FrameSequence(seq.frames[:args.history], seq.intensity_levels)
     cfg = FitConfig(k_max=args.kmax, history_len=args.history,
                     rng_seed=args.seed)
+    history, _ = _load_frames(args, limit=args.history)
+    if history.n_frames < args.history:
+        raise ValueError(f"need at least {args.history} frames for the "
+                         f"history, input has {history.n_frames}")
     printer = _ProgressPrinter(history.width * history.height)
     grid = initialize_grid(history, cfg, workers=args.workers,
                            progress=printer)
@@ -231,7 +229,7 @@ def cmd_run(args) -> int:
     for i in range(seq.n_frames):
         mask = process_frame(grid, seq.frames[i], update=not args.freeze,
                              workers=args.workers)
-        write_mask(mask, os.path.join(args.outdir, names[i]))
+        write_mask(mask.labels, os.path.join(args.outdir, names[i]))
         if args.save_posterior:
             write_posterior(mask.posterior, os.path.join(post_dir, names[i]))
     out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
@@ -352,7 +350,6 @@ def cmd_synth_video(args) -> int:
     os.makedirs(gt_dir, exist_ok=True)
     quant = quantize_frames(seq)
     from .frameio import write_pgm
-    maxval = scenario.levels - 1 if scenario.levels in (256, 65536) else 255
     for t in range(seq.n_frames):
         name = f"frame_{t:06d}.pgm"
         write_pgm(quant[t], os.path.join(frames_dir, name),
@@ -415,7 +412,7 @@ class _ProgressPrinter:
         self.next_mark = max(1, total // 10)
         self.lock = threading.Lock()
 
-    def __call__(self, done_hint: int, total: int) -> None:
+    def __call__(self) -> None:
         with self.lock:
             self.done += 1
             if self.done >= self.next_mark:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import digamma as _scipy_digamma
 from scipy.special import erfc
 
 # Smallest variance a component may carry (intensity^2 units).  A component
@@ -18,7 +19,6 @@ from scipy.special import erfc
 VARIANCE_FLOOR = 1e-4
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
 
 
 def gaussian_pdf(x, mu, var):
@@ -48,53 +48,13 @@ def gaussian_cdf(x, mu, var):
 
 
 def digamma(a):
-    """Digamma function for a > 0.
-
-    Small arguments are shifted up with the recurrence
-    psi(a) = psi(a + 1) - 1/a until the Bernoulli asymptotic series applies.
-    Relative error is below 1e-10 over (0, inf); the series terms through
-    x^-14 make it closer to 1e-14 for a >= 1e-3.
-    """
+    """Digamma function for a > 0: scipy.special.digamma behind a domain
+    check that raises ValueError for a <= 0 or a non-finite argument."""
     a = np.asarray(a, dtype=np.float64)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("digamma requires a > 0")
-    x = a.copy() if a.ndim else np.atleast_1d(a).copy()
-    acc = np.zeros_like(x)
-    # Upward recurrence into the asymptotic region.
-    while True:
-        small = x < 10.0
-        if not small.any():
-            break
-        acc[small] -= 1.0 / x[small]
-        x[small] += 1.0
-    inv2 = 1.0 / (x * x)
-    # ln x - 1/(2x) - sum B_2n / (2n x^2n)
-    series = (
-        np.log(x)
-        - 0.5 / x
-        - inv2 * (1.0 / 12.0
-                  - inv2 * (1.0 / 120.0
-                            - inv2 * (1.0 / 252.0
-                                      - inv2 * (1.0 / 240.0
-                                                - inv2 * (1.0 / 132.0)))))
-    )
-    out = acc + series
-    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
-
-
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One mixture component: weight in [0, 1], mean, strictly positive variance."""
-
-    weight: float
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError(f"component weight {self.weight} outside [0, 1]")
-        if not (self.variance > 0.0):
-            raise ValueError(f"component variance {self.variance} must be > 0")
+    out = _scipy_digamma(a)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -127,11 +87,6 @@ class MixtureModel:
     @property
     def n_components(self) -> int:
         return len(self.weights)
-
-    @property
-    def components(self) -> list[GaussianComponent]:
-        return [GaussianComponent(w, m, v)
-                for w, m, v in zip(self.weights, self.means, self.variances)]
 
     def copy(self) -> "MixtureModel":
         return MixtureModel(list(self.weights), list(self.means),
@@ -181,10 +136,6 @@ def _pdf_scalar(x: float, mu: float, var: float) -> float:
 
 def _logpdf_scalar(x: float, mu: float, var: float) -> float:
     return -0.5 * (_LOG_2PI + math.log(var)) - 0.5 * (x - mu) * (x - mu) / var
-
-
-def _cdf_scalar(x: float, mu: float, var: float) -> float:
-    return 0.5 * math.erfc((mu - x) / (_SQRT2 * math.sqrt(var)))
 
 
 def _check_var(var) -> None:

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool, adapt
-from .core import MixtureModel, _pdf_scalar
+from .core import MixtureModel
 from .fit import FitConfig, fit
-from .segment import FOREGROUND, MaskFrame, SegmentationConfig, blob_filter
+from .frameio import FrameSequence
+from .segment import (FOREGROUND, MaskFrame, SegmentationConfig, blob_filter,
+                      posterior_bg)
 
 _FORMAT_MAGIC = "VIMM1"
 
@@ -29,36 +31,6 @@ class ModelFormatError(ValueError):
     def __init__(self, message: str, pixel_index: int | None = None):
         super().__init__(message)
         self.pixel_index = pixel_index
-
-
-@dataclass
-class FrameSequence:
-    """Ordered frames of intensities with their quantization depth.
-
-    ``frames`` has shape (n_frames, height, width).  ``frame_rate`` is
-    carried as metadata only.
-    """
-
-    frames: np.ndarray
-    intensity_levels: int = 256
-    frame_rate: float | None = None
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 3:
-            raise ValueError("frames must have shape (n_frames, height, width)")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.frames.shape[2]
 
 
 @dataclass
@@ -97,26 +69,25 @@ def default_workers() -> int:
         return 1
 
 
-def initialize_grid(history, fit_config: FitConfig,
+def initialize_grid(history: FrameSequence, fit_config: FitConfig,
                     adapt_config: AdaptationConfig | None = None,
                     seg_config: SegmentationConfig | None = None,
                     workers: int | None = None,
                     progress=None) -> PixelGrid:
     """Fit every pixel's model from the first N frames.
 
-    ``history`` is a FrameSequence or an (N, height, width) array whose frame
-    count must equal fit_config.history_len.  Per-pixel RNG substreams are
-    spawned from fit_config.rng_seed, so results do not depend on the worker
-    count.  ``progress(done, total)`` is called as pixels finish.
+    ``history`` is a FrameSequence, which carries the intensity depth the
+    models are fitted at; its frame count must equal fit_config.history_len.
+    Per-pixel RNG substreams are spawned from fit_config.rng_seed, so results
+    do not depend on the worker count.  ``progress()`` is called once per
+    finished pixel.
     """
-    if isinstance(history, FrameSequence):
-        frames = history.frames
-        levels = history.intensity_levels
-    else:
-        frames = np.asarray(history, dtype=np.float64)
-        levels = 256
-    if frames.ndim != 3:
-        raise ValueError("history must have shape (n_frames, height, width)")
+    if not isinstance(history, FrameSequence):
+        raise TypeError(
+            f"history must be a FrameSequence (it carries the intensity "
+            f"depth), got {type(history).__name__}")
+    frames = history.frames
+    levels = history.intensity_levels
     n_frames, height, width = frames.shape
     if n_frames != fit_config.history_len:
         raise ValueError(
@@ -141,7 +112,7 @@ def initialize_grid(history, fit_config: FitConfig,
             models[idx] = result.model
             unconverged[idx] = int(not result.converged)
             if progress is not None:
-                progress(idx + 1, n_pixels)
+                progress()
 
     _run_partitioned(fit_range, n_pixels, workers)
 
@@ -176,8 +147,8 @@ def process_frame(grid: PixelGrid, frame, update: bool = True,
     posterior = np.empty(n_pixels, dtype=np.float64)
     labels = np.empty(n_pixels, dtype=np.uint8)
 
-    p_bg = grid.seg_config.p_bg
-    threshold = grid.seg_config.decision_threshold
+    seg_cfg = grid.seg_config
+    threshold = seg_cfg.decision_threshold
     adapt_cfg = grid.adapt_config
     models = grid.models
     pools = grid.pools
@@ -186,12 +157,7 @@ def process_frame(grid: PixelGrid, frame, update: bool = True,
         for idx in range(lo, hi):
             x = flat[idx]
             model = models[idx]
-            u = 1.0 / model.intensity_levels
-            d = 0.0
-            for w, mu, var in zip(model.weights, model.means, model.variances):
-                d += w * _pdf_scalar(x, mu, var)
-            p = p_bg * d / (d + u)
-            p = 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
+            p = posterior_bg(model, x, seg_cfg)
             posterior[idx] = p
             labels[idx] = 0 if p >= threshold else FOREGROUND
             if update:

@@ -4,6 +4,8 @@ Input frames are binary PGM (P5) at 8 or 16 bits, or headerless raw dumps
 with declared geometry.  Masks are written as 8-bit PGM with foreground 255;
 posteriors as 16-bit PGM of round(p * 65535).  16-bit PGM samples are
 big-endian per the format; raw input declares its endianness.
+The readers return a FrameSequence.  This module imports nothing else from
+the package, so every other layer can build on it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FrameSequence
-from .segment import MaskFrame
-
 
 class FrameFormatError(ValueError):
     pass
+
+
+@dataclass
+class FrameSequence:
+    """Ordered frames of intensities with their quantization depth.
+
+    ``frames`` has shape (n_frames, height, width).  ``frame_rate`` is
+    carried as metadata only.
+    """
+
+    frames: np.ndarray
+    intensity_levels: int = 256
+    frame_rate: float | None = None
+
+    def __post_init__(self):
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+        if self.frames.ndim != 3:
+            raise ValueError("frames must have shape (n_frames, height, width)")
+
+    @property
+    def n_frames(self) -> int:
+        return self.frames.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.frames.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.frames.shape[2]
 
 
 def read_pgm(path):
@@ -84,9 +113,9 @@ def write_pgm(array, path, maxval: int | None = None) -> None:
         fh.write(out.tobytes())
 
 
-def write_mask(mask, path) -> None:
-    """Write a binary mask as 8-bit PGM: foreground 255, background 0."""
-    labels = mask.labels if isinstance(mask, MaskFrame) else np.asarray(mask)
+def write_mask(labels, path) -> None:
+    """Write a label array as 8-bit PGM: nonzero (foreground) 255, else 0."""
+    labels = np.asarray(labels)
     write_pgm(np.where(labels > 0, 255, 0).astype(np.uint8), path, 255)
 
 
@@ -103,11 +132,14 @@ def write_posterior(posterior, path) -> None:
 
 
 def read_raw_sequence(path, width: int, height: int, depth: int = 16,
-                      endianness: str = "little") -> FrameSequence:
-    """Read a headerless raw intensity dump as consecutive frames.
+                      endianness: str = "little",
+                      limit: int | None = None) -> FrameSequence:
+    """Read a headerless raw intensity dump as consecutive frames, at most
+    the first ``limit`` of them when a limit is given.
 
     The file length must be an exact multiple of width*height*bytes-per-
-    sample; anything else is reported with the expected and actual counts.
+    sample, whatever the limit; anything else is reported with the expected
+    and actual counts.
     """
     if depth not in (8, 16):
         raise FrameFormatError(f"unsupported raw depth {depth} (8 or 16)")
@@ -115,25 +147,35 @@ def read_raw_sequence(path, width: int, height: int, depth: int = 16,
         raise FrameFormatError(f"unsupported endianness {endianness!r}")
     dtype = np.dtype(np.uint8) if depth == 8 else \
         np.dtype("<u2" if endianness == "little" else ">u2")
-    raw = np.fromfile(path, dtype=np.uint8)
+    size = os.path.getsize(path)
     frame_bytes = width * height * dtype.itemsize
-    if frame_bytes == 0 or raw.size % frame_bytes != 0:
+    if frame_bytes == 0 or size % frame_bytes != 0:
         raise FrameFormatError(
-            f"{path}: file size {raw.size} is not a multiple of the "
+            f"{path}: file size {size} is not a multiple of the "
             f"{frame_bytes}-byte frame ({width}x{height}x{dtype.itemsize})")
-    frames = raw.view(dtype).reshape(-1, height, width)
+    n_frames = size // frame_bytes
+    if limit is not None:
+        n_frames = min(n_frames, limit)
+    frames = np.fromfile(path, dtype=dtype, count=n_frames * width * height)
+    frames = frames.reshape(n_frames, height, width)
     return FrameSequence(frames.astype(np.float64),
                          intensity_levels=256 if depth == 8 else 65536)
 
 
-def read_pgm_sequence(pattern) -> tuple[FrameSequence, list[str]]:
-    """Load a sorted directory or glob of PGM frames as one sequence."""
+def read_pgm_sequence(pattern, limit: int | None = None
+                      ) -> tuple[FrameSequence, list[str]]:
+    """Load a sorted directory or glob of PGM frames as one sequence.
+
+    With a ``limit`` only the first ``limit`` frames in sorted order are
+    decoded and returned, with their paths.
+    """
     if os.path.isdir(pattern):
         paths = sorted(glob.glob(os.path.join(pattern, "*.pgm")))
     else:
         paths = sorted(glob.glob(str(pattern)))
     if not paths:
         raise FrameFormatError(f"no PGM frames match {pattern!r}")
+    paths = paths[:limit]
     frames = []
     maxvals = set()
     shape = None
@@ -150,30 +192,6 @@ def read_pgm_sequence(pattern) -> tuple[FrameSequence, list[str]]:
         raise FrameFormatError(f"mixed bit depths in sequence: {sorted(maxvals)}")
     levels = 256 if maxvals.pop() == 255 else 65536
     return FrameSequence(np.stack(frames), intensity_levels=levels), paths
-
-
-@dataclass
-class FrameSource:
-    """Where frames come from: a directory/glob of PGMs, or a raw dump with
-    declared geometry."""
-
-    path: str
-    kind: str = "pgm"          # "pgm" | "raw"
-    width: int | None = None   # raw only
-    height: int | None = None
-    depth: int = 16
-    endianness: str = "little"
-
-    def load(self) -> FrameSequence:
-        if self.kind == "pgm":
-            seq, _ = read_pgm_sequence(self.path)
-            return seq
-        if self.kind == "raw":
-            if not self.width or not self.height:
-                raise FrameFormatError("raw input needs explicit width/height")
-            return read_raw_sequence(self.path, self.width, self.height,
-                                     self.depth, self.endianness)
-        raise FrameFormatError(f"unknown source kind {self.kind!r}")
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:

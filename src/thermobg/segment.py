@@ -11,14 +11,12 @@ the result is clamped to [0, 1] defensively.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .adapt import match_component, spawn_component, update_matched
-from .core import MixtureModel, mixture_density
+from .core import MixtureModel, _pdf_scalar
 
 BACKGROUND = 0
 FOREGROUND = 1
@@ -68,17 +66,17 @@ class MaskFrame:
 
 
 def posterior_bg(model: MixtureModel, x: float, cfg: SegmentationConfig) -> float:
-    """Background posterior for one sample, in [0, 1]."""
-    d = mixture_density(model, float(x))
-    u = 1.0 / model.intensity_levels
-    p = cfg.p_bg * d / (d + u)
-    return min(max(p, 0.0), 1.0)
+    """Background posterior for one sample, in [0, 1].
 
-
-def classify_pixel(model: MixtureModel, x: float, cfg: SegmentationConfig) -> int:
-    """BACKGROUND when the posterior reaches the decision threshold."""
-    return BACKGROUND if posterior_bg(model, x, cfg) >= cfg.decision_threshold \
-        else FOREGROUND
+    The streaming engine classifies every pixel through this function.  The
+    density is summed component by component in model order with scalar
+    math, so the result does not depend on numpy's vectorised rounding.
+    """
+    d = 0.0
+    for w, mu, var in zip(model.weights, model.means, model.variances):
+        d += w * _pdf_scalar(x, mu, var)
+    p = cfg.p_bg * d / (d + 1.0 / model.intensity_levels)
+    return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
 
 
 def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:
@@ -97,49 +95,3 @@ def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:
     out = labels.copy()
     out[small[blobs]] = BACKGROUND
     return MaskFrame(mask.width, mask.height, out, mask.posterior)
-
-
-@dataclass
-class StandingObjectScenario:
-    """A constant new intensity appears in front of an established background
-    model and stays: the trace of the switching dynamics in the paper's
-    pedestrian case study.
-
-    The default background is a single component at 16 with sigma 1.5 (the
-    toy background used throughout the adaptation experiments) and the object
-    appears at intensity 21.
-    """
-
-    background: list[tuple[float, float, float]] = field(
-        default_factory=lambda: [(1.0, 16.0, 2.25)])  # (weight, mean, variance)
-    object_intensity: float = 21.0
-    history_len: int = 100
-    epsilon_star: int = 2
-    intensity_levels: int = 256
-    horizon: int = 10_000
-
-
-def frames_to_background(scenario: StandingObjectScenario,
-                         cfg: SegmentationConfig) -> int | float:
-    """Number of frames until the standing object is classified background.
-
-    Builds the background model, spawns a component for the object with the
-    scenario's epsilon, then repeats: classify, and absorb the sample into
-    the matched component.  Returns the first 1-based frame index whose
-    posterior reaches the threshold, or math.inf within the horizon.
-    """
-    model = MixtureModel(
-        weights=[w for w, _, _ in scenario.background],
-        means=[m for _, m, _ in scenario.background],
-        variances=[v for _, _, v in scenario.background],
-        history_len=scenario.history_len,
-        intensity_levels=scenario.intensity_levels,
-    )
-    x = float(scenario.object_intensity)
-    model = spawn_component(model, x, scenario.epsilon_star)
-    for frame in range(1, scenario.horizon + 1):
-        if posterior_bg(model, x, cfg) >= cfg.decision_threshold:
-            return frame
-        c, _ = match_component(model, x)
-        model = update_matched(model, c, x)
-    return math.inf

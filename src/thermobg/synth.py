@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import FrameSequence
+from .frameio import FrameSequence
 
 RNG_ALGORITHM = "pcg64-seedseq"  # recorded in generated metadata
 

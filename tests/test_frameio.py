@@ -1,0 +1,84 @@
+import os
+
+import numpy as np
+import pytest
+
+from thermobg.frameio import (FrameFormatError, read_mask, read_pgm,
+                              read_pgm_sequence, read_raw_sequence, write_mask,
+                              write_pgm)
+
+
+def frames_of(depth, n=3, height=4, width=5, seed=0):
+    rng = np.random.default_rng(seed)
+    top = 256 if depth == 8 else 65536
+    return rng.integers(0, top, (n, height, width)).astype(
+        np.uint8 if depth == 8 else np.uint16)
+
+
+def truncate(path, n_bytes):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - n_bytes])
+
+
+class TestPgm:
+    @pytest.mark.parametrize("depth,maxval", [(8, 255), (16, 65535)])
+    def test_round_trip(self, tmp_path, depth, maxval):
+        arr = frames_of(depth)[0]
+        arr[0, 0], arr[0, 1] = 0, maxval  # both extremes survive
+        write_pgm(arr, tmp_path / "f.pgm")
+        back, got_maxval = read_pgm(tmp_path / "f.pgm")
+        assert got_maxval == maxval
+        assert back.dtype == arr.dtype
+        assert np.array_equal(back, arr)
+
+    def test_truncated_payload_raises(self, tmp_path):
+        write_pgm(frames_of(16)[0], tmp_path / "f.pgm")
+        truncate(tmp_path / "f.pgm", 1)
+        with pytest.raises(FrameFormatError, match="truncated"):
+            read_pgm(tmp_path / "f.pgm")
+
+    def test_sequence_depth_and_limit(self, tmp_path):
+        frames = frames_of(16, n=4)
+        for t, arr in enumerate(frames):
+            write_pgm(arr, tmp_path / f"frame_{t:03d}.pgm")
+        truncate(tmp_path / "frame_003.pgm", 2)
+        seq, paths = read_pgm_sequence(str(tmp_path), limit=3)
+        assert seq.intensity_levels == 65536
+        assert [os.path.basename(p) for p in paths] == [
+            "frame_000.pgm", "frame_001.pgm", "frame_002.pgm"]
+        assert np.array_equal(seq.frames, frames[:3].astype(np.float64))
+        with pytest.raises(FrameFormatError, match="truncated"):
+            read_pgm_sequence(str(tmp_path))
+
+    def test_mask_from_labels(self, tmp_path):
+        labels = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8)
+        write_mask(labels, tmp_path / "m.pgm")
+        raw, maxval = read_pgm(tmp_path / "m.pgm")
+        assert maxval == 255
+        assert np.array_equal(raw, labels * 255)
+        assert np.array_equal(read_mask(tmp_path / "m.pgm"), labels)
+
+
+class TestRaw:
+    @pytest.mark.parametrize("endianness", ["little", "big"])
+    def test_round_trip_16_bit(self, tmp_path, endianness):
+        frames = frames_of(16)
+        order = "<" if endianness == "little" else ">"
+        frames.astype(order + "u2").tofile(tmp_path / "v.raw")
+        seq = read_raw_sequence(tmp_path / "v.raw", 5, 4, 16, endianness)
+        assert seq.intensity_levels == 65536
+        assert np.array_equal(seq.frames, frames.astype(np.float64))
+
+    def test_round_trip_8_bit_with_limit(self, tmp_path):
+        frames = frames_of(8)
+        frames.tofile(tmp_path / "v.raw")
+        seq = read_raw_sequence(tmp_path / "v.raw", 5, 4, 8, limit=2)
+        assert seq.intensity_levels == 256
+        assert np.array_equal(seq.frames, frames[:2].astype(np.float64))
+
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_partial_frame_raises(self, tmp_path, limit):
+        frames_of(16).astype("<u2").tofile(tmp_path / "v.raw")
+        truncate(tmp_path / "v.raw", 2)
+        with pytest.raises(FrameFormatError, match="not a multiple"):
+            read_raw_sequence(tmp_path / "v.raw", 5, 4, 16, limit=limit)

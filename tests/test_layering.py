@@ -1,0 +1,75 @@
+"""The package's import layering, read from the source with ast: frameio is
+a leaf, segment builds only on core, and no module imports itself back
+through the others."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = "thermobg"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+MODULES = {p.stem for p in SRC.glob("*.py")}
+
+
+def intra_imports(module: str) -> set[str]:
+    """Modules of the package that ``module`` imports ("__init__" for the
+    package itself)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] != PACKAGE:
+                    continue
+                target = parts[1:]
+            elif node.level == 1:
+                target = node.module.split(".") if node.module else []
+            else:
+                continue
+            if target:
+                found.add(target[0])
+            else:  # from . import a, b: submodules, or names of __init__
+                for alias in node.names:
+                    found.add(alias.name if alias.name in MODULES
+                              else "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == PACKAGE:
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    found.discard(module)
+    return found
+
+
+GRAPH = {m: intra_imports(m) for m in MODULES}
+
+
+def test_source_found():
+    assert {"core", "engine", "frameio", "segment", "cli"} <= MODULES
+
+
+def test_frameio_is_a_leaf():
+    assert GRAPH["frameio"] == set()
+
+
+def test_segment_imports_only_core():
+    assert GRAPH["segment"] == {"core"}
+
+
+def test_no_import_cycle():
+    done, on_path = set(), []
+
+    def visit(m):
+        if m in on_path:
+            raise AssertionError(
+                "import cycle: " + " -> ".join(on_path[on_path.index(m):] + [m]))
+        if m in done:
+            return
+        on_path.append(m)
+        for dep in sorted(GRAPH[m]):
+            visit(dep)
+        on_path.pop()
+        done.add(m)
+
+    for m in sorted(GRAPH):
+        visit(m)
