@@ -7,18 +7,23 @@ density against the probability of observing the sample inside an optimal
 +-epsilon neighborhood; the neighborhood term is computed either from a
 stored sample pool (exact-history mode) or from the matched component's
 cumulative distribution (memory-efficient mode, the default).
+
+Every stage runs on all pixels of a grid at once: the ``*_rows`` functions
+take a MixtureState, a SamplePool or the matched components' parameters,
+with one sample per pixel, and contain no per-pixel Python loop.  The
+per-model functions (match_component, epsilon_star_exact, ..., adapt) and
+HistoryPool are the one-pixel case of the same code.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import VARIANCE_FLOOR, MixtureModel, _logpdf_scalar
+from .core import _LOG_2PI, VARIANCE_FLOOR, MixtureModel, MixtureState
 
 MODE_EXACT = "exact-history"
 MODE_APPROX = "memory-efficient"
@@ -26,6 +31,18 @@ _MODE_ALIASES = {
     "exact": MODE_EXACT, "exact-history": MODE_EXACT,
     "approx": MODE_APPROX, "memory-efficient": MODE_APPROX,
 }
+
+# epsilon grid points (plus stored samples, in exact-history mode) that one
+# vectorised pass holds; larger grids are split into row ranges
+_CHUNK_POINTS = 1 << 17
+
+# integer samples below this magnitude span less than 2**52, so they, their
+# differences and their sums with any eps of the grid are exact in float64
+_EXACT_BELOW = 2.0 ** 51
+
+# fsum_rows is exact for row sums below 2**51 / K times the smallest weight;
+# weights of at least 1/N meet that up to this history length
+MAX_HISTORY_LEN = 1 << 25
 
 
 @dataclass
@@ -47,27 +64,90 @@ class AdaptationConfig:
             raise ValueError("epsilon_max_sigmas must be positive")
 
 
-class HistoryPool:
-    """Sliding ring buffer of the last N samples (exact-history mode only)."""
+class SamplePool:
+    """Ring buffers of the last N samples of each of P pixels
+    (exact-history mode only).
 
-    def __init__(self, values=(), maxlen: int = 100):
+    ``pushed[p]`` counts the samples pixel p has received; its stored
+    samples are the first ``count[p]`` slots of ``samples[p]``, and its next
+    sample goes to slot ``pushed[p] % N``, which once the buffer is full
+    holds its oldest sample.
+    """
+
+    def __init__(self, n_pixels: int, maxlen: int):
         if maxlen < 1:
             raise ValueError("pool length must be positive")
-        self._buf = deque((float(v) for v in values), maxlen=maxlen)
+        self.samples = np.zeros((n_pixels, maxlen))
+        self.pushed = np.zeros(n_pixels, dtype=np.int64)
 
-    def push(self, x: float) -> None:
-        self._buf.append(float(x))
+    @classmethod
+    def from_history(cls, history, maxlen: int) -> "SamplePool":
+        """Pools holding the last ``maxlen`` rows of a (T, P) history."""
+        history = np.asarray(history, dtype=np.float64)
+        pool = cls(history.shape[1], maxlen)
+        kept = history[max(0, history.shape[0] - maxlen):]
+        pool.samples[:, :kept.shape[0]] = kept.T
+        pool.pushed[:] = kept.shape[0]
+        return pool
 
     @property
-    def values(self) -> list[float]:
-        return list(self._buf)
+    def n_pixels(self) -> int:
+        return self.pushed.size
 
     @property
     def maxlen(self) -> int:
-        return self._buf.maxlen
+        return self.samples.shape[1]
+
+    @property
+    def count(self) -> np.ndarray:
+        return np.minimum(self.pushed, self.maxlen)
+
+    def push(self, x) -> None:
+        """Store x[p] as pixel p's newest sample, dropping its oldest when
+        the buffer is full."""
+        self.samples[np.arange(self.n_pixels), self.pushed % self.maxlen] = x
+        self.pushed = self.pushed + 1
+
+    def values(self, p: int) -> list[float]:
+        """Pixel p's stored samples, oldest first."""
+        if self.pushed[p] < self.maxlen:
+            return self.samples[p, :self.pushed[p]].tolist()
+        return np.roll(self.samples[p], -(self.pushed[p] % self.maxlen)).tolist()
+
+    def take(self, rows) -> "SamplePool":
+        """A new pool holding copies of the given pixel rows."""
+        pool = SamplePool(0, self.maxlen)
+        pool.samples = self.samples[rows]
+        pool.pushed = self.pushed[rows]
+        return pool
+
+    def put(self, rows, other: "SamplePool") -> None:
+        """Overwrite the given pixel rows with the rows of ``other``."""
+        self.samples[rows] = other.samples
+        self.pushed[rows] = other.pushed
+
+
+class HistoryPool:
+    """Sliding ring buffer of one pixel's last N samples: a one-row
+    SamplePool, ``rows``."""
+
+    def __init__(self, values=(), maxlen: int = 100):
+        column = np.array([float(v) for v in values]).reshape(-1, 1)
+        self.rows = SamplePool.from_history(column, maxlen)
+
+    def push(self, x: float) -> None:
+        self.rows.push(float(x))
+
+    @property
+    def values(self) -> list[float]:
+        return self.rows.values(0)
+
+    @property
+    def maxlen(self) -> int:
+        return self.rows.maxlen
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return int(self.rows.count[0])
 
 
 @dataclass(frozen=True)
@@ -79,171 +159,403 @@ class EpsilonResult:
     log_p: float
 
 
+def match_rows(state: MixtureState, x) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel, the index of the component minimizing the Mahalanobis
+    distance |x - mu_k| / sigma_k, and that distance squared.  Ties keep
+    the lowest index."""
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    d2 = (x - state.means) * (x - state.means) / state.variances
+    d2[np.arange(state.capacity) >= state.k[:, None]] = np.inf
+    c = np.argmin(d2, axis=1)
+    return c, d2[np.arange(c.size), c]
+
+
 def match_component(model: MixtureModel, x: float) -> tuple[int, float]:
-    """Index of the component minimizing the Mahalanobis distance
-    |x - mu_k| / sigma_k, plus that distance.  Ties keep the lowest index."""
-    best = 0
-    best_d2 = math.inf
-    for k, (mu, var) in enumerate(zip(model.means, model.variances)):
-        d2 = (x - mu) * (x - mu) / var
-        if d2 < best_d2:
-            best = k
-            best_d2 = d2
-    return best, math.sqrt(best_d2)
+    """match_rows for one model: the matched index and its distance."""
+    c, d2 = match_rows(MixtureState.from_models([model]), [float(x)])
+    return int(c[0]), math.sqrt(d2[0])
 
 
-def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
-    """Maximize p(x; eps) = (N_eps / N) / (2 eps) over the integer eps grid,
-    where N_eps counts stored samples within +-eps of x.
+def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pixel, maximize p(x; eps) = (N_eps / N) / (2 eps) over the
+    integer eps grid, where N is the pixel's stored sample count and N_eps
+    counts its stored samples within +-eps of x.  Returns the arrays
+    (eps*, p, log p).
 
     N_eps counts a sample strictly inside the window in full and a sample
     exactly eps from x as one half.  On integer intensities the closed
     window [x - eps, x + eps] holds 2 eps + 1 levels; halving its two end
     levels leaves exactly 2 eps, the width that the 2 eps normaliser, the
-    CDF window of epsilon_star_approx and the spawned uniform variance all
-    assume.  The count then equals the histogram mass of [x - eps, x + eps]
-    with unit bins, and on continuous data (no sample on a boundary) it is
-    the plain count.
+    CDF window of epsilon_star_approx_rows and the spawned uniform variance
+    all assume.  The count then equals the histogram mass of
+    [x - eps, x + eps] with unit bins, and on continuous data (no sample on
+    a boundary) it is the plain count.
 
-    The grid runs from cfg.epsilon_min to the ceiling of the pool's value
-    range; the smallest eps wins ties.  An empty neighborhood everywhere
-    yields (epsilon_min, 0).
+    A pixel's grid runs from cfg.epsilon_min to the ceiling of its pool's
+    value range; the smallest eps wins ties.  An empty neighborhood
+    everywhere, or an empty pool, yields (epsilon_min, 0, -inf).
     """
-    values = pool.values if isinstance(pool, HistoryPool) else list(pool)
-    if not values:
+    x = np.asarray(x, dtype=np.float64)
+    eps = np.full(x.size, cfg.epsilon_min, dtype=np.int64)
+    p = np.zeros(x.size)
+    log_p = np.full(x.size, -np.inf)
+    stored = pool.count
+    filled = np.flatnonzero(stored > 0)
+    if filled.size == 0:
+        return eps, p, log_p
+    count = stored[filled]
+    if filled.size == x.size and count.min() == pool.maxlen:
+        values = pool.samples.reshape(-1)
+    else:  # the stored samples, flat and grouped by pixel
+        values = pool.samples[filled][np.arange(pool.maxlen) < count[:, None]]
+    first = np.cumsum(count) - count
+    spread = (np.maximum.reduceat(values, first)
+              - np.minimum.reduceat(values, first))
+    top = np.maximum(cfg.epsilon_min, np.ceil(spread)).astype(np.int64)
+    n_eps = (top - cfg.epsilon_min) // cfg.epsilon_step + 1
+    for lo, hi in _row_chunks(n_eps + count, _CHUNK_POINTS):
+        rows = filled[lo:hi]
+        eps[rows], p[rows], log_p[rows] = _exact_chunk(
+            values[first[lo]:first[hi - 1] + count[hi - 1]], count[lo:hi],
+            x[rows], n_eps[lo:hi], cfg)
+    return eps, p, log_p
+
+
+def _exact_chunk(values, count, x, n_eps, cfg):
+    """epsilon_star_exact_rows on pools that all hold samples, given flat
+    and grouped by pixel.
+
+    Twice N_eps at eps = eps_j is the sum over the stored samples v of
+    [v <= x + eps] + [v < x + eps] + [v >= x - eps] + [v > x - eps] - 2.
+    Each bracket is a step in j.  The steps are binned on the doubled axis
+    z = 2 eps, one row of bins per pixel, and summed along it.  In exact
+    arithmetic a sample's sum is [|v - x| <= eps] + [|v - x| < eps], with
+    steps at z = ceil(2 |v - x|) and floor(2 |v - x|) + 1.  The
+    floating-point comparisons agree with that whenever x +- eps and v - x
+    are exact, as for integer-valued samples and x below 2**51, or v - x is
+    far enough from every integer eps for rounding not to cross it.  The
+    four steps of any other sample are located with the floating-point
+    comparisons themselves.
+    """
+    e0, step = cfg.epsilon_min, cfg.epsilon_step
+    eps_top = e0 + (n_eps - 1) * step
+    bins = 2 * eps_top + 2  # z = 0 .. 2 eps_top, then an overflow bin
+    row_first = np.cumsum(bins) - bins
+    xv = np.repeat(x, count)
+    z_over = np.repeat(bins - 1, count).astype(np.float64)
+    t = values - xv
+    dist = 2.0 * np.abs(t)
+    steps = [np.minimum(np.ceil(dist), z_over),
+             np.minimum(np.floor(dist) + 1.0, z_over)]
+    first = [np.repeat(row_first, count)] * 2
+
+    x_exact = (x == np.floor(x)) & (np.abs(x) < _EXACT_BELOW)
+    rounded = np.flatnonzero(~(np.repeat(x_exact, count)
+                               & (values == np.floor(values))
+                               & (np.abs(values) < _EXACT_BELOW)))
+    slack = ((np.abs(values[rounded]) + np.abs(xv[rounded])
+              + np.repeat(eps_top, count)[rounded]) * 2.0 ** -48)
+    near = rounded[np.abs(t[rounded] - np.rint(t[rounded])) <= slack]
+    twice_less = 0
+    if near.size:
+        for z in steps:
+            z[near] = z_over[near]
+        v, xs = values[near], xv[near]
+        limit = np.repeat(n_eps, count)[near]
+        up = (v - xs - e0) / step     # eps_j < v - x  <=>  j < up
+        down = (xs - v - e0) / step   # eps_j < x - v  <=>  j < down
+
+        def grid_at(j):
+            return (e0 + j * step).astype(np.float64)
+
+        # [v <= x + eps_j] holds from the first j with x + eps_j < v false
+        # on, and so on for the other three brackets
+        searches = ((lambda j: xs + grid_at(j) < v, np.ceil(up)),
+                    (lambda j: xs + grid_at(j) <= v, np.floor(up) + 1.0),
+                    (lambda j: v < xs - grid_at(j), np.ceil(down)),
+                    (lambda j: v <= xs - grid_at(j), np.floor(down) + 1.0))
+        for holds, guess in searches:
+            j = _prefix_length(holds, guess, limit)
+            steps.append(np.minimum(2.0 * grid_at(j), z_over[near]))
+            first.append(first[0][near])
+        # a searched sample's four brackets still carry its -2
+        pixel = np.repeat(np.arange(count.size), count)[near]
+        twice_less = 2 * np.bincount(pixel, minlength=count.size)
+
+    n_bins = int(bins.sum())
+    hist = sum(np.bincount((z + f).astype(np.intp), minlength=n_bins)
+               for z, f in zip(steps, first))
+    running = np.cumsum(hist)
+    before = running[row_first] - hist[row_first] + twice_less
+    point_row = np.repeat(np.arange(n_eps.size), n_eps)
+    grid = e0 + (np.arange(point_row.size)
+                 - np.repeat(np.cumsum(n_eps) - n_eps, n_eps)) * step
+    twice = running[row_first[point_row] + 2 * grid] - before[point_row]
+    p = 0.5 * twice / (count[point_row] * 2.0 * grid)
+    best, p_best = _first_argmax(p, np.cumsum(n_eps) - n_eps, point_row)
+    found = p_best > 0.0
+    with np.errstate(divide="ignore"):
+        log_p = np.where(found, np.log(p_best), -np.inf)
+    return (np.where(found, grid[best], e0), np.where(found, p_best, 0.0),
+            log_p)
+
+
+def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
+    """epsilon_star_exact_rows for one pool, a HistoryPool or a sequence of
+    samples, which must not be empty."""
+    if not isinstance(pool, HistoryPool):
+        values = list(pool)
+        pool = HistoryPool(values, maxlen=max(1, len(values)))
+    if not len(pool):
         raise ValueError("exact-history pool is empty")
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    n = arr.size
-    top = max(cfg.epsilon_min, math.ceil(float(arr[-1] - arr[0])))
-    grid = np.arange(cfg.epsilon_min, top + 1, cfg.epsilon_step)
-    closed = (np.searchsorted(arr, x + grid, side="right")
-              - np.searchsorted(arr, x - grid, side="left"))
-    inside = (np.searchsorted(arr, x + grid, side="left")
-              - np.searchsorted(arr, x - grid, side="right"))
-    counts = 0.5 * (closed + inside)
-    p = counts / (n * 2.0 * grid)
-    best = int(np.argmax(p))  # first maximum = smallest eps
-    if p[best] <= 0.0:
-        return EpsilonResult(int(cfg.epsilon_min), 0.0, -math.inf)
-    return EpsilonResult(int(grid[best]), float(p[best]), math.log(p[best]))
+    eps, p, log_p = epsilon_star_exact_rows(pool.rows, [float(x)], cfg)
+    return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
+
+
+def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Memory-efficient neighborhood probability of each pixel's sample x
+    via its matched component's (weight w, mean mu, variance var)
+    cumulative distribution:
+
+        p~(x; eps) = w * (G(x + eps) - G(x - eps)) / (2 eps)
+
+    maximized over the integer grid up to ceil(epsilon_max_sigmas * sigma).
+    Returns the arrays (eps*, p, log p).  Computed in the log domain so
+    far-tail samples keep a meaningful value instead of underflowing to
+    zero.
+    """
+    w, mu, var, x = (np.asarray(a, dtype=np.float64) for a in (w, mu, var, x))
+    sigma = np.sqrt(var)
+    top = np.maximum(cfg.epsilon_min,
+                     np.ceil(cfg.epsilon_max_sigmas * sigma)).astype(np.int64)
+    n_eps = (top - cfg.epsilon_min) // cfg.epsilon_step + 1
+    with np.errstate(divide="ignore"):
+        log_w = np.where(w > 0.0, np.log(w), -np.inf)
+    eps = np.empty(x.size, dtype=np.int64)
+    log_p = np.empty(x.size)
+    for lo, hi in _row_chunks(n_eps, _CHUNK_POINTS):
+        part = slice(lo, hi)
+        eps[part], log_p[part] = _approx_chunk(
+            log_w[part], mu[part], sigma[part], x[part], n_eps[part], cfg)
+    p = np.where(log_p > -745.0, np.exp(np.maximum(log_p, -745.0)), 0.0)
+    return eps, p, log_p
+
+
+def _approx_chunk(log_w, mu, sigma, x, n_eps, cfg):
+    starts = np.cumsum(n_eps) - n_eps
+    row = np.repeat(np.arange(n_eps.size), n_eps)
+    grid = (cfg.epsilon_min + (np.arange(row.size) - starts[row])
+            * cfg.epsilon_step).astype(np.float64)
+    xr, mur, sr = x[row], mu[row], sigma[row]
+    za = (xr - grid - mur) / sr
+    zb = (xr + grid - mur) / sr
+    lower = xr <= mur  # keep both endpoints in the lower tail for accuracy
+    l_lo = log_ndtr(np.where(lower, za, -zb))
+    l_hi = log_ndtr(np.where(lower, zb, -za))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mass = l_hi + np.log1p(-np.exp(np.minimum(l_lo - l_hi, -0.0)))
+    log_mass = np.where(l_lo < l_hi, log_mass, -np.inf)
+    log_p = log_w[row] + log_mass - np.log(2.0 * grid)
+
+    best, lp = _first_argmax(log_p, starts, row)
+    found = lp > -np.inf
+    return (np.where(found, grid[best], cfg.epsilon_min).astype(np.int64),
+            lp)
 
 
 def epsilon_star_approx(model: MixtureModel, c: int, x: float,
                         cfg: AdaptationConfig) -> EpsilonResult:
-    """Memory-efficient neighborhood probability via the matched component's
-    cumulative distribution:
-
-        p~(x; eps) = w_c * (G_c(x + eps) - G_c(x - eps)) / (2 eps)
-
-    maximized over the integer grid up to ceil(epsilon_max_sigmas * sigma_c).
-    Computed in the log domain so far-tail samples keep a meaningful value
-    instead of underflowing to zero.
-    """
-    w = model.weights[c]
-    mu = model.means[c]
-    sigma = math.sqrt(model.variances[c])
-    top = max(cfg.epsilon_min, math.ceil(cfg.epsilon_max_sigmas * sigma))
-    grid = np.arange(cfg.epsilon_min, top + 1, cfg.epsilon_step, dtype=np.float64)
-
-    za = (x - grid - mu) / sigma
-    zb = (x + grid - mu) / sigma
-    if x <= mu:  # keep both endpoints in the lower tail for accuracy
-        l_lo, l_hi = log_ndtr(za), log_ndtr(zb)
-    else:
-        l_lo, l_hi = log_ndtr(-zb), log_ndtr(-za)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mass = l_hi + np.log1p(-np.exp(np.minimum(l_lo - l_hi, -0.0)))
-    log_mass = np.where(l_lo < l_hi, log_mass, -np.inf)
-    log_w = math.log(w) if w > 0.0 else -math.inf
-    log_p = log_w + log_mass - np.log(2.0 * grid)
-
-    best = int(np.argmax(log_p))
-    lp = float(log_p[best])
-    if lp == -math.inf:
-        return EpsilonResult(int(cfg.epsilon_min), 0.0, -math.inf)
-    return EpsilonResult(int(grid[best]), float(math.exp(lp)) if lp > -745.0 else 0.0, lp)
+    """epsilon_star_approx_rows for component c of one model."""
+    eps, p, log_p = epsilon_star_approx_rows(
+        [model.weights[c]], [model.means[c]], [model.variances[c]],
+        [float(x)], cfg)
+    return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
 
 
-def decide(model: MixtureModel, c: int, x: float, p_eps_star: float,
-           log_p_eps_star: float | None = None) -> bool:
-    """True when the sample is already represented by the model: the matched
-    component's density at x is at least the eps-neighborhood probability.
+def decide_rows(mu, var, x, log_p_eps_star) -> np.ndarray:
+    """True where the sample is already represented by the model: the
+    matched component's (mean mu, variance var) density at x is at least
+    the eps-neighborhood probability.
 
     The comparison runs in the log domain, so a density that underflows in
     the far tail still loses to a nonzero neighborhood mass.
     """
-    if log_p_eps_star is None:
-        log_p_eps_star = math.log(p_eps_star) if p_eps_star > 0.0 else -math.inf
-    logpdf = _logpdf_scalar(x, model.means[c], model.variances[c])
+    mu, var, x = (np.asarray(a, dtype=np.float64) for a in (mu, var, x))
+    logpdf = -0.5 * (_LOG_2PI + np.log(var)) - 0.5 * (x - mu) * (x - mu) / var
     return logpdf >= log_p_eps_star
 
 
-def update_matched(model: MixtureModel, c: int, x: float) -> MixtureModel:
-    """Following-the-leader update of the matched component.
+def decide(model: MixtureModel, c: int, x: float, p_eps_star: float,
+           log_p_eps_star: float | None = None) -> bool:
+    """decide_rows for component c of one model; the log probability is
+    taken from p_eps_star when not given."""
+    if log_p_eps_star is None:
+        log_p_eps_star = math.log(p_eps_star) if p_eps_star > 0.0 else -math.inf
+    return bool(decide_rows([model.means[c]], [model.variances[c]],
+                            [float(x)], log_p_eps_star)[0])
 
-    All right-hand sides use the pre-update parameter values.  Afterwards,
-    weights below 1/N are pruned and the remainder renormalized.
+
+def update_matched_rows(state: MixtureState, rows, c, x) -> None:
+    """Following-the-leader update of component c[i] of pixel rows[i] with
+    sample x[i], in place.
+
+    All right-hand sides use the pre-update parameter values.  Pruning and
+    renormalization are left to prune_renormalize_rows.
     """
-    n = model.history_len
-    w_c = model.weights[c]
+    n = state.history_len
+    weights = state.weights[rows]
+    w_c = weights[np.arange(len(rows)), c]
     denom = w_c * n + 1.0
+    one_hot = np.arange(state.capacity) == np.asarray(c)[:, None]
+    state.weights[rows] = weights + (one_hot - weights) / n
 
-    weights = [w + ((1.0 if k == c else 0.0) - w) / n
-               for k, w in enumerate(model.weights)]
-    means = list(model.means)
-    variances = list(model.variances)
-    diff = x - means[c]
-    means[c] = means[c] + diff / denom
-    var_c = variances[c] + w_c * n * diff * diff / (denom * denom) \
-        - variances[c] / denom
-    variances[c] = max(var_c, VARIANCE_FLOOR)
-
-    return _prune_renormalize(weights, means, variances, model)
+    mean = state.means[rows, c]
+    var = state.variances[rows, c]
+    diff = x - mean
+    state.means[rows, c] = mean + diff / denom
+    var_c = var + w_c * n * diff * diff / (denom * denom) - var / denom
+    state.variances[rows, c] = np.maximum(var_c, VARIANCE_FLOOR)
 
 
-def spawn_component(model: MixtureModel, x: float, eps_star: int) -> MixtureModel:
-    """Create a component at the unexplained sample.
+def update_matched(model: MixtureModel, c: int, x: float) -> MixtureModel:
+    """update_matched_rows then prune_renormalize_rows for one model:
+    afterwards, weights below 1/N are pruned and the remainder
+    renormalized."""
+    state = MixtureState.from_models([model])
+    update_matched_rows(state, [0], [c], [float(x)])
+    prune_renormalize_rows(state)
+    return state.model(0)
+
+
+def spawn_rows(state: MixtureState, rows, x, eps_star) -> None:
+    """Create a component at each unexplained sample x[i] of pixel rows[i],
+    in place.
 
     The newcomer gets weight 1/N, mean x and the variance of a discrete
     uniform spanning 2*eps_star, ((2 eps)^2 - 1) / 12; existing weights are
-    scaled to sum (N-1)/N before the usual prune-and-renormalize pass.
+    scaled to sum (N-1)/N.  Pruning and renormalization are left to
+    prune_renormalize_rows.
     """
+    if len(rows) == 0:
+        return
+    n = state.history_len
+    k = state.k[rows]
+    state.reserve(int(k.max()) + 1)
+    state.weights[rows] *= (n - 1.0) / n
+    state.weights[rows, k] = 1.0 / n
+    state.means[rows, k] = x
+    var_new = ((2.0 * np.asarray(eps_star)) ** 2 - 1.0) / 12.0
+    state.variances[rows, k] = np.maximum(var_new, VARIANCE_FLOOR)
+    state.k[rows] = k + 1
+
+
+def spawn_component(model: MixtureModel, x: float, eps_star: int) -> MixtureModel:
+    """spawn_rows then prune_renormalize_rows for one model; eps_star must
+    be a positive integer."""
     if eps_star < 1:
         raise ValueError("eps_star must be a positive integer")
-    n = model.history_len
-    scale = (n - 1.0) / n
-    weights = [w * scale for w in model.weights] + [1.0 / n]
-    means = list(model.means) + [float(x)]
-    var_new = ((2.0 * eps_star) ** 2 - 1.0) / 12.0
-    variances = list(model.variances) + [max(var_new, VARIANCE_FLOOR)]
-    return _prune_renormalize(weights, means, variances, model)
+    state = MixtureState.from_models([model])
+    spawn_rows(state, [0], [float(x)], [eps_star])
+    prune_renormalize_rows(state)
+    return state.model(0)
+
+
+def prune_renormalize_rows(state: MixtureState) -> None:
+    """Drop every component whose weight is below 1/N (a pixel left with
+    none keeps its heaviest), move the survivors to the front in model
+    order and divide their weights by their exactly rounded sum."""
+    n = state.history_len
+    if n > MAX_HISTORY_LEN:
+        raise ValueError(f"history_len above {MAX_HISTORY_LEN} is not supported")
+    weights = state.weights
+    active = np.arange(state.capacity) < state.k[:, None]
+    kept = active & (weights >= 1.0 / n)
+    empty = np.flatnonzero(~kept.any(axis=1))
+    if empty.size:  # keep the heaviest component rather than an empty model
+        heavy = np.argmax(np.where(active[empty], weights[empty], -np.inf), axis=1)
+        kept[empty, heavy] = True
+    weights = np.where(kept, weights, 0.0)
+    weights /= fsum_rows(weights)[:, None]
+
+    state.k = np.count_nonzero(kept, axis=1)
+    moved = np.flatnonzero((kept != active).any(axis=1))
+    if moved.size:
+        order = np.argsort(~kept[moved], axis=1, kind="stable")
+        pad = np.arange(state.capacity) >= state.k[moved][:, None]
+        for name, fill in (("means", 0.0), ("variances", 1.0)):
+            values = getattr(state, name)
+            values[moved] = np.where(
+                pad, fill, np.take_along_axis(values[moved], order, axis=1))
+        weights[moved] = np.take_along_axis(weights[moved], order, axis=1)
+    state.weights = weights
+
+
+def fsum_rows(values) -> np.ndarray:
+    """Row sums of a nonnegative (P, K) array, each rounded once from the
+    exact sum, as math.fsum rounds it.
+
+    Each entry is split at a per-row power of two u, with the row total
+    below 2**53 u, into a multiple of u and a remainder below u.  The
+    multiples sum exactly, being multiples of u below 2**53 u.  The
+    remainders are multiples of the ulp of the row's smallest nonzero entry
+    and total less than K u, so they sum exactly when the row total is
+    below 2**51 / K times that entry.  One addition of the two exact sums
+    is then the correctly rounded total.
+    """
+    _, exponent = np.frexp(values.sum(axis=1))
+    unit = np.ldexp(1.0, exponent - 52)[:, None]
+    high = np.floor(values / unit) * unit
+    return high.sum(axis=1) + (values - high).sum(axis=1)
+
+
+def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
+               pool: SamplePool | None = None) -> np.ndarray:
+    """One classify-and-adapt step for every pixel of the state, in place:
+    match, evaluate the eps-neighborhood probability, decide, then update
+    the matched pixels, spawn on the others, and prune and renormalize all.
+    Returns the per-pixel matched flags.
+
+    Exact-history mode reads the neighborhoods from ``pool`` and pushes x
+    into it afterwards; memory-efficient mode needs no stored samples.
+    Every x must be finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if cfg.mode == MODE_EXACT and pool is None:
+        raise ValueError("exact-history mode requires a sample pool")
+    c, _ = match_rows(state, x)
+    rows = np.arange(state.n_pixels)
+    mean, var = state.means[rows, c], state.variances[rows, c]
+    if cfg.mode == MODE_EXACT:
+        eps, _, log_p = epsilon_star_exact_rows(pool, x, cfg)
+    else:
+        eps, _, log_p = epsilon_star_approx_rows(state.weights[rows, c], mean,
+                                                 var, x, cfg)
+    matched = decide_rows(mean, var, x, log_p)
+    hit = np.flatnonzero(matched)
+    miss = np.flatnonzero(~matched)
+    update_matched_rows(state, hit, c[hit], x[hit])
+    spawn_rows(state, miss, x[miss], eps[miss])
+    prune_renormalize_rows(state)
+    if cfg.mode == MODE_EXACT:
+        pool.push(x)
+    return matched
 
 
 def adapt(model: MixtureModel, x: float, cfg: AdaptationConfig,
           pool: HistoryPool | None = None) -> tuple[MixtureModel, bool]:
-    """Match, evaluate the eps-neighborhood probability, decide, update.
-
-    Exact-history mode reads the neighborhood from ``pool`` and pushes x into
-    it afterwards; memory-efficient mode needs no stored samples.
-    """
+    """adapt_rows for one model and a finite sample x; exact-history mode
+    reads and feeds ``pool``."""
     x = float(x)
-    c, _ = match_component(model, x)
-    if cfg.mode == MODE_EXACT:
-        if pool is None:
-            raise ValueError("exact-history mode requires a HistoryPool")
-        eps = (epsilon_star_exact(pool, x, cfg) if len(pool)
-               else EpsilonResult(cfg.epsilon_min, 0.0, -math.inf))
-    else:
-        eps = epsilon_star_approx(model, c, x, cfg)
-
-    matched = decide(model, c, x, eps.p, eps.log_p)
-    if matched:
-        out = update_matched(model, c, x)
-    else:
-        out = spawn_component(model, x, eps.epsilon)
-    if cfg.mode == MODE_EXACT and pool is not None:
-        pool.push(x)
-    return out, matched
+    if not math.isfinite(x):
+        raise ValueError(f"sample must be finite, got {x}")
+    if cfg.mode == MODE_EXACT and pool is None:
+        raise ValueError("exact-history mode requires a HistoryPool")
+    state = MixtureState.from_models([model])
+    matched = adapt_rows(state, [x], cfg,
+                         pool.rows if cfg.mode == MODE_EXACT else None)
+    return state.model(0), bool(matched[0])
 
 
 def weight_after_matches(w0: float, n: int, t: int) -> float:
@@ -256,19 +568,39 @@ def weight_after_misses(w0: float, n: int, t: int) -> float:
     return w0 * (1.0 - 1.0 / n) ** t
 
 
-def _prune_renormalize(weights, means, variances,
-                       model: MixtureModel) -> MixtureModel:
-    n = model.history_len
-    lo = 1.0 / n
-    kept = [(w, m, v) for w, m, v in zip(weights, means, variances) if w >= lo]
-    if not kept:  # keep the heaviest component rather than an empty model
-        k = max(range(len(weights)), key=lambda i: weights[i])
-        kept = [(weights[k], means[k], variances[k])]
-    total = math.fsum(w for w, _, _ in kept)
-    return MixtureModel(
-        weights=[w / total for w, _, _ in kept],
-        means=[m for _, m, _ in kept],
-        variances=[v for _, _, v in kept],
-        history_len=n,
-        intensity_levels=model.intensity_levels,
-    )
+def _row_chunks(cost, limit: int):
+    """Contiguous row ranges (lo, hi) whose summed cost stays within limit;
+    a row costing more gets a range of its own."""
+    ends = np.cumsum(cost)
+    lo = 0
+    while lo < ends.size:
+        base = ends[lo - 1] if lo else 0
+        hi = int(np.searchsorted(ends, base + limit, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _prefix_length(holds, guess, limit):
+    """Per element, the number of leading grid indices j = 0, 1, ... at
+    which holds(j) is true, capped at limit.  holds must be true on a
+    prefix of the grid; guess is an estimate that is corrected one index at
+    a time until both neighbours of the boundary agree with holds."""
+    k = np.clip(guess, 0, limit).astype(np.int64)
+    while True:
+        back = (k > 0) & ~holds(np.maximum(k - 1, 0))
+        ahead = (k < limit) & holds(np.minimum(k, limit - 1))
+        if not (back.any() or ahead.any()):
+            return k
+        k += ahead
+        k -= back
+
+
+def _first_argmax(values, starts, row):
+    """Per row of a flat ragged array (rows begin at ``starts``, ``row``
+    names each entry's row), the flat index of the first maximum and the
+    maximum itself."""
+    top = np.maximum.reduceat(values, starts)
+    hits = np.flatnonzero(values == top[row])
+    first = hits[np.flatnonzero(np.diff(row[hits], prepend=-1))]
+    return first, top

@@ -24,8 +24,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, frameio
-from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool
-from .core import MixtureModel, mixture_density
+from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool, SamplePool
+from .core import MixtureModel, MixtureState, mixture_density
 from .engine import (ModelFormatError, PixelGrid, default_workers,
                      initialize_grid, load_grid, process_frame, save_grid)
 from .fit import FitConfig, fit
@@ -98,7 +98,9 @@ def _build_parser() -> _Parser:
     r.add_argument("--min-blob", type=int, default=15)
     r.add_argument("--connectivity", type=int, default=8, choices=(4, 8))
     r.add_argument("--mode", choices=("approx", "exact"), default="approx")
-    r.add_argument("--workers", type=int, default=None)
+    r.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: run streams each frame as "
+                        "one vectorised pass over all pixels")
     r.add_argument("--save-posterior", action="store_true")
     r.add_argument("--freeze", action="store_true",
                    help="classify without updating the models")
@@ -138,7 +140,6 @@ def _build_parser() -> _Parser:
                    help="WxH, repeatable (default 320x240 and 640x480)")
     b.add_argument("--frames", type=int, default=100)
     b.add_argument("--mode", choices=("approx", "exact"), default="approx")
-    b.add_argument("--workers", type=int, default=None)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--outdir", default=None)
     b.set_defaults(func=cmd_bench)
@@ -219,16 +220,15 @@ def cmd_run(args) -> int:
             f"model geometry {grid.width}x{grid.height} does not match "
             f"frames {seq.width}x{seq.height}")
     if adapt_cfg.mode == MODE_EXACT:
-        grid.pools = [HistoryPool(maxlen=grid.fit_config.history_len)
-                      for _ in range(grid.width * grid.height)]
+        grid.pool = SamplePool(grid.width * grid.height,
+                               grid.fit_config.history_len)
 
     os.makedirs(args.outdir, exist_ok=True)
     post_dir = os.path.join(args.outdir, "posterior")
     if args.save_posterior:
         os.makedirs(post_dir, exist_ok=True)
     for i in range(seq.n_frames):
-        mask = process_frame(grid, seq.frames[i], update=not args.freeze,
-                             workers=args.workers)
+        mask = process_frame(grid, seq.frames[i], update=not args.freeze)
         write_mask(mask.labels, os.path.join(args.outdir, names[i]))
         if args.save_posterior:
             write_posterior(mask.posterior, os.path.join(post_dir, names[i]))
@@ -382,21 +382,21 @@ def cmd_bench(args) -> int:
 
 def _bench_one(width, height, args):
     n_pixels = width * height
-    models = [MixtureModel([0.7, 0.3], [16.0, 50.0], [2.25, 4.0], 100)
-              for _ in range(n_pixels)]
+    model = MixtureModel([0.7, 0.3], [16.0, 50.0], [2.25, 4.0], 100)
     adapt_cfg = AdaptationConfig(mode=args.mode)
-    grid = PixelGrid(width=width, height=height, models=models,
+    grid = PixelGrid(width=width, height=height,
+                     state=MixtureState.from_models([model] * n_pixels),
                      fit_config=FitConfig(), adapt_config=adapt_cfg,
                      seg_config=SegmentationConfig())
     if adapt_cfg.mode == MODE_EXACT:
         rng = np.random.default_rng(args.seed)
-        grid.pools = [HistoryPool(rng.normal(16.0, 1.5, 100), maxlen=100)
-                      for _ in range(n_pixels)]
+        grid.pool = SamplePool.from_history(
+            rng.normal(16.0, 1.5, (n_pixels, 100)).T, maxlen=100)
     rng = np.random.default_rng(args.seed)
     frames = rng.normal(16.0, 1.5, (args.frames, height, width))
     t0 = time.time()
     for i in range(args.frames):
-        process_frame(grid, frames[i], workers=args.workers)
+        process_frame(grid, frames[i])
     elapsed = time.time() - t0
     fps = args.frames / elapsed if elapsed > 0 else float("inf")
     us_per_px = elapsed / (args.frames * n_pixels) * 1e6

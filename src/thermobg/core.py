@@ -1,8 +1,9 @@
-"""Scalar Gaussian mixture primitives shared by fitting, adaptation and segmentation.
+"""Gaussian mixture primitives shared by fitting, adaptation and segmentation.
 
-Pixel intensities are modeled as 1-D Gaussian mixtures.  Everything here is
-pure and value-like; models are cheap to copy and safe to share read-only
-between threads.
+Pixel intensities are modeled as 1-D Gaussian mixtures.  A single pixel's
+model is the value-like MixtureModel; a whole grid's models live in one
+MixtureState, a structure of arrays that the streaming stages update for all
+pixels at once.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ class MixtureModel:
     """Per-pixel background model: K weighted Gaussians plus the history
     length N and the intensity quantization L (256 or 65536).
 
-    ``weights``/``means``/``variances`` are parallel lists of floats; keeping
-    them as plain lists makes the per-sample streaming path much faster than
-    small ndarray indexing.
+    ``weights``/``means``/``variances`` are parallel lists of floats.  Every
+    field must be finite and every variance positive.
     """
 
     weights: list[float]
@@ -83,6 +83,11 @@ class MixtureModel:
             raise ValueError("history_len must be positive")
         if self.intensity_levels < 2:
             raise ValueError("intensity_levels must be at least 2")
+        fields = (*self.weights, *self.means, *self.variances)
+        if not all(map(math.isfinite, fields)):
+            raise ValueError("weights, means and variances must be finite")
+        if any(v <= 0.0 for v in self.variances):
+            raise ValueError("variances must be strictly positive")
 
     @property
     def n_components(self) -> int:
@@ -102,6 +107,100 @@ class MixtureModel:
         lo = 1.0 / self.history_len
         if any(w < lo - tol for w in self.weights):
             raise AssertionError("component below the 1/N weight floor survived")
+
+
+@dataclass
+class MixtureState:
+    """The mixtures of a whole pixel grid as a structure of arrays.
+
+    Row p of the (P, K_cap) ``weights``, ``means`` and ``variances`` holds
+    pixel p's ``k[p]`` components in model order, followed by padding slots
+    with weight 0, mean 0 and variance 1.  K_cap grows when a pixel needs
+    room for another component.  All pixels share the history length N and
+    the intensity quantization L.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    k: np.ndarray
+    history_len: int
+    intensity_levels: int = 256
+
+    @classmethod
+    def from_models(cls, models) -> "MixtureState":
+        """Stack per-pixel models, which share N and L, into one state."""
+        models = list(models)
+        if not models:
+            raise ValueError("a state needs at least one pixel")
+        n, levels = models[0].history_len, models[0].intensity_levels
+        if any((m.history_len, m.intensity_levels) != (n, levels)
+               for m in models):
+            raise ValueError("models disagree on history_len or intensity_levels")
+        k = np.array([m.n_components for m in models], dtype=np.int64)
+        state = cls.empty(len(models), int(k.max()), n, levels)
+        rows = np.repeat(np.arange(len(models)), k)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(k) - k, k)
+        for name in ("weights", "means", "variances"):
+            getattr(state, name)[rows, cols] = [
+                v for m in models for v in getattr(m, name)]
+        state.k = k
+        return state
+
+    @classmethod
+    def empty(cls, n_pixels: int, capacity: int, history_len: int,
+              intensity_levels: int = 256) -> "MixtureState":
+        """A state of padding only: every k is 0."""
+        shape = (n_pixels, capacity)
+        return cls(np.zeros(shape), np.zeros(shape), np.ones(shape),
+                   np.zeros(n_pixels, dtype=np.int64), history_len,
+                   intensity_levels)
+
+    @property
+    def n_pixels(self) -> int:
+        return self.k.size
+
+    @property
+    def capacity(self) -> int:
+        return self.weights.shape[1]
+
+    def model(self, i: int) -> MixtureModel:
+        """Pixel i's mixture as a MixtureModel (a copy)."""
+        k = int(self.k[i])
+        return MixtureModel(self.weights[i, :k].tolist(),
+                            self.means[i, :k].tolist(),
+                            self.variances[i, :k].tolist(),
+                            self.history_len, self.intensity_levels)
+
+    def models(self) -> list[MixtureModel]:
+        return [self.model(i) for i in range(self.n_pixels)]
+
+    def reserve(self, capacity: int) -> None:
+        """Grow K_cap to at least ``capacity`` slots per pixel."""
+        extra = capacity - self.capacity
+        if extra > 0:
+            pad = ((0, 0), (0, extra))
+            self.weights = np.pad(self.weights, pad)
+            self.means = np.pad(self.means, pad)
+            self.variances = np.pad(self.variances, pad, constant_values=1.0)
+
+    def take(self, rows) -> "MixtureState":
+        """A new state holding copies of the given pixel rows."""
+        return MixtureState(self.weights[rows], self.means[rows],
+                            self.variances[rows], self.k[rows],
+                            self.history_len, self.intensity_levels)
+
+    def put(self, rows, other: "MixtureState") -> None:
+        """Overwrite the given pixel rows with the rows of ``other``."""
+        self.reserve(other.capacity)
+        cap = other.capacity
+        self.weights[rows] = 0.0
+        self.means[rows] = 0.0
+        self.variances[rows] = 1.0
+        self.weights[rows, :cap] = other.weights
+        self.means[rows, :cap] = other.means
+        self.variances[rows, :cap] = other.variances
+        self.k[rows] = other.k
 
 
 def mixture_density(model: MixtureModel, x):
@@ -126,16 +225,6 @@ def log_mixture_density(model: MixtureModel, x):
         out = top + np.log(np.sum(np.exp(logs - top), axis=0))
     out = np.where(np.isneginf(top), -np.inf, out)
     return float(out) if out.ndim == 0 else out
-
-
-# Scalar fast paths for the streaming engine (math.* beats ndarray scalars).
-
-def _pdf_scalar(x: float, mu: float, var: float) -> float:
-    return math.exp(-0.5 * (x - mu) * (x - mu) / var) / math.sqrt(2.0 * math.pi * var)
-
-
-def _logpdf_scalar(x: float, mu: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var)) - 0.5 * (x - mu) * (x - mu) / var
 
 
 def _check_var(var) -> None:

@@ -1,10 +1,11 @@
 """Full-frame orchestration: one mixture model per pixel, batch
 initialization from a frame history, then streaming classify-and-adapt.
 
-Pixels are independent, so the grid can be partitioned across workers in any
-way without changing a single output bit; blob filtering runs after all
-pixels of a frame are done.  In memory-efficient mode no sample history is
-kept anywhere.
+The grid's models are one MixtureState (and, in exact-history mode, one
+SamplePool).  Fitting is per pixel and may be spread over worker threads
+without changing a bit of the result; streaming runs each frame as one
+vectorised pass over all pixels.  In memory-efficient mode no sample history
+is kept anywhere.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool, adapt
-from .core import MixtureModel
+from .adapt import adapt  # noqa: F401  perfbench/pipeline.py wraps engine.adapt
+from .adapt import MODE_EXACT, AdaptationConfig, SamplePool, adapt_rows
+from .core import MixtureModel, MixtureState
 from .fit import FitConfig, fit
 from .frameio import FrameSequence
 from .segment import (FOREGROUND, MaskFrame, SegmentationConfig, blob_filter,
-                      posterior_bg)
+                      posterior_bg_rows)
 
 _FORMAT_MAGIC = "VIMM1"
 
@@ -35,30 +37,34 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class PixelGrid:
-    """Row-major per-pixel models plus the configuration bundle."""
+    """Row-major per-pixel model state plus the configuration bundle."""
 
     width: int
     height: int
-    models: list[MixtureModel]
+    state: MixtureState
     fit_config: FitConfig
     adapt_config: AdaptationConfig = field(default_factory=AdaptationConfig)
     seg_config: SegmentationConfig = field(default_factory=SegmentationConfig)
-    intensity_levels: int = 256
-    pools: list[HistoryPool] | None = None  # exact-history mode only
+    pool: SamplePool | None = None  # exact-history mode only
     unconverged_pixels: int = 0
 
     def __post_init__(self):
-        if len(self.models) != self.width * self.height:
-            raise ValueError("model list does not match width * height")
+        n_pixels = self.width * self.height
+        if self.state.n_pixels != n_pixels:
+            raise ValueError("model state does not match width * height")
+        if self.pool is not None and self.pool.n_pixels != n_pixels:
+            raise ValueError("sample pool does not match width * height")
+
+    @property
+    def intensity_levels(self) -> int:
+        return self.state.intensity_levels
 
     def model_at(self, x: int, y: int) -> MixtureModel:
-        return self.models[y * self.width + x]
+        return self.state.model(y * self.width + x)
 
     def component_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for m in self.models:
-            hist[m.n_components] = hist.get(m.n_components, 0) + 1
-        return dict(sorted(hist.items()))
+        ks, counts = np.unique(self.state.k, return_counts=True)
+        return {int(k): int(c) for k, c in zip(ks, counts)}
 
 
 def default_workers() -> int:
@@ -116,24 +122,25 @@ def initialize_grid(history: FrameSequence, fit_config: FitConfig,
 
     _run_partitioned(fit_range, n_pixels, workers)
 
-    pools = None
+    pool = None
     if adapt_config.mode == MODE_EXACT:
-        pools = [HistoryPool(columns[:, idx], maxlen=fit_config.history_len)
-                 for idx in range(n_pixels)]
-    return PixelGrid(width=width, height=height, models=models,
+        pool = SamplePool.from_history(columns, fit_config.history_len)
+    return PixelGrid(width=width, height=height,
+                     state=MixtureState.from_models(models),
                      fit_config=fit_config, adapt_config=adapt_config,
-                     seg_config=seg_config, intensity_levels=levels,
-                     pools=pools, unconverged_pixels=sum(unconverged))
+                     seg_config=seg_config, pool=pool,
+                     unconverged_pixels=sum(unconverged))
 
 
-def process_frame(grid: PixelGrid, frame, update: bool = True,
-                  workers: int | None = None) -> MaskFrame:
-    """Classify every pixel of one frame, then adapt its model.
+def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
+    """Classify every pixel of one frame, then adapt its model, as one
+    vectorised pass over the grid.
 
-    The raw per-pixel labels are assembled first (classification uses the
-    pre-update model), the frame-global blob filter runs after the barrier.
+    Classification uses the pre-update models; the frame-global blob filter
+    runs on the raw labels.  A non-finite sample is labelled foreground
+    (posterior 0) and its pixel's model and pool are left untouched.
     Returns the filtered MaskFrame with the background posterior attached;
-    grid models (and pools, in exact mode) are updated in place unless
+    the grid state (and pool, in exact mode) is updated in place unless
     ``update`` is False.
     """
     frame = np.asarray(frame, dtype=np.float64)
@@ -141,35 +148,31 @@ def process_frame(grid: PixelGrid, frame, update: bool = True,
         raise ValueError(
             f"frame shape {frame.shape} does not match grid "
             f"{(grid.height, grid.width)}")
-    workers = workers or default_workers()
-    n_pixels = grid.width * grid.height
-    flat = frame.reshape(n_pixels)
-    posterior = np.empty(n_pixels, dtype=np.float64)
-    labels = np.empty(n_pixels, dtype=np.uint8)
-
-    seg_cfg = grid.seg_config
-    threshold = seg_cfg.decision_threshold
-    adapt_cfg = grid.adapt_config
-    models = grid.models
-    pools = grid.pools
-
-    def process_range(lo: int, hi: int) -> None:
-        for idx in range(lo, hi):
-            x = flat[idx]
-            model = models[idx]
-            p = posterior_bg(model, x, seg_cfg)
-            posterior[idx] = p
-            labels[idx] = 0 if p >= threshold else FOREGROUND
-            if update:
-                pool = pools[idx] if pools is not None else None
-                models[idx], _ = adapt(model, x, adapt_cfg, pool)
-
-    _run_partitioned(process_range, n_pixels, workers)
-
+    flat = frame.reshape(-1)
+    finite = np.isfinite(flat)
+    all_finite = bool(finite.all())
+    with np.errstate(invalid="ignore"):
+        posterior = posterior_bg_rows(grid.state, flat, grid.seg_config)
+    if not all_finite:
+        posterior[~finite] = 0.0
+    labels = np.where(posterior >= grid.seg_config.decision_threshold,
+                      0, FOREGROUND).astype(np.uint8)
     raw = MaskFrame(grid.width, grid.height,
                     labels.reshape(grid.height, grid.width),
                     posterior.reshape(grid.height, grid.width))
-    return blob_filter(raw, grid.seg_config)
+    mask = blob_filter(raw, grid.seg_config)
+
+    if update and all_finite:
+        adapt_rows(grid.state, flat, grid.adapt_config, grid.pool)
+    elif update:
+        rows = np.flatnonzero(finite)
+        state = grid.state.take(rows)
+        pool = grid.pool.take(rows) if grid.pool is not None else None
+        adapt_rows(state, flat[rows], grid.adapt_config, pool)
+        grid.state.put(rows, state)
+        if pool is not None:
+            grid.pool.put(rows, pool)
+    return mask
 
 
 def save_grid(grid: PixelGrid, path) -> None:
@@ -182,11 +185,11 @@ def save_grid(grid: PixelGrid, path) -> None:
     """
     lines = [f"{_FORMAT_MAGIC} {grid.width} {grid.height} "
              f"{grid.fit_config.history_len} {grid.intensity_levels}"]
-    for m in grid.models:
-        parts = [str(m.n_components)]
-        for w, mu, var in zip(m.weights, m.means, m.variances):
-            parts.extend((f"{w:.17g}", f"{mu:.17g}", f"{var:.17g}"))
-        lines.append(" ".join(parts))
+    state = grid.state
+    triples = np.stack([state.weights, state.means, state.variances],
+                       axis=2).reshape(state.n_pixels, -1).tolist()
+    for k, row in zip(state.k.tolist(), triples):
+        lines.append(" ".join([str(k)] + [f"{v:.17g}" for v in row[:3 * k]]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -227,7 +230,7 @@ def load_grid(path, fit_config: FitConfig | None = None,
         raise ModelFormatError(
             f"trailing data after pixel {n_pixels - 1}", pixel_index=n_pixels)
 
-    models: list[MixtureModel] = []
+    models = []
     for idx in range(n_pixels):
         tokens = body[idx].split()
         try:
@@ -248,11 +251,11 @@ def load_grid(path, fit_config: FitConfig | None = None,
     if fit_config.history_len != n_hist:
         fit_config = replace(fit_config, history_len=n_hist,
                              k_max=min(fit_config.k_max, n_hist))
-    return PixelGrid(width=width, height=height, models=models,
+    return PixelGrid(width=width, height=height,
+                     state=MixtureState.from_models(models),
                      fit_config=fit_config,
                      adapt_config=adapt_config or AdaptationConfig(),
-                     seg_config=seg_config or SegmentationConfig(),
-                     intensity_levels=levels)
+                     seg_config=seg_config or SegmentationConfig())
 
 
 def _run_partitioned(fn, n_items: int, workers: int) -> None:

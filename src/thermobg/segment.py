@@ -11,12 +11,13 @@ the result is clamped to [0, 1] defensively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .core import MixtureModel, _pdf_scalar
+from .core import MixtureModel, MixtureState
 
 BACKGROUND = 0
 FOREGROUND = 1
@@ -65,25 +66,39 @@ class MaskFrame:
         return int(self.labels.sum())
 
 
-def posterior_bg(model: MixtureModel, x: float, cfg: SegmentationConfig) -> float:
-    """Background posterior for one sample, in [0, 1].
+def posterior_bg_rows(state: MixtureState, x: np.ndarray,
+                      cfg: SegmentationConfig) -> np.ndarray:
+    """Background posterior of sample x[p] under pixel p's mixture, for
+    every pixel of the state at once, in [0, 1].
 
-    The streaming engine classifies every pixel through this function.  The
-    density is summed component by component in model order with scalar
-    math, so the result does not depend on numpy's vectorised rounding.
+    The density is summed component by component in model order, one
+    column at a time, so every pixel's sum rounds the same way whatever the
+    other pixels hold.  A padding slot adds weight 0 times a finite density.
     """
-    d = 0.0
-    for w, mu, var in zip(model.weights, model.means, model.variances):
-        d += w * _pdf_scalar(x, mu, var)
-    p = cfg.p_bg * d / (d + 1.0 / model.intensity_levels)
-    return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    var = state.variances
+    pdf = np.exp(-0.5 * (x - state.means) * (x - state.means) / var) \
+        / np.sqrt(2.0 * math.pi * var)
+    terms = state.weights * pdf
+    d = np.zeros(state.n_pixels)
+    for col in terms.T:
+        d += col
+    p = cfg.p_bg * d / (d + 1.0 / state.intensity_levels)
+    return np.clip(p, 0.0, 1.0)
+
+
+def posterior_bg(model: MixtureModel, x: float, cfg: SegmentationConfig) -> float:
+    """Background posterior for one sample, in [0, 1]: the one-pixel case of
+    posterior_bg_rows."""
+    state = MixtureState.from_models([model])
+    return float(posterior_bg_rows(state, [x], cfg)[0])
 
 
 def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:
     """Relabel connected foreground blobs smaller than min_blob_area as
     background.  Idempotent; never adds foreground."""
     labels = np.asarray(mask.labels, dtype=np.uint8)
-    if cfg.min_blob_area <= 1:
+    if cfg.min_blob_area <= 1 or not labels.any():
         return MaskFrame(mask.width, mask.height, labels.copy(), mask.posterior)
     structure = _STRUCTURE_8 if cfg.connectivity == 8 else _STRUCTURE_4
     blobs, n_blobs = ndimage.label(labels == FOREGROUND, structure=structure)

@@ -306,6 +306,16 @@ class TestAdapt:
         assert not adapt(m, 16.0, cfg, piled)[1]
         assert adapt(m, 16.0, AdaptationConfig())[1]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        m = model([1.0], [16.0], [2.25])
+        with pytest.raises(ValueError, match="finite"):
+            adapt(m, bad, AdaptationConfig())
+        pool = HistoryPool([16.0] * 10, maxlen=10)
+        with pytest.raises(ValueError, match="finite"):
+            adapt(m, bad, AdaptationConfig(mode="exact"), pool)
+        assert pool.values == [16.0] * 10
+
     def test_exact_mode_requires_pool(self):
         with pytest.raises(ValueError):
             adapt(model([1.0], [16.0], [2.25]), 16.0,

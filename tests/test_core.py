@@ -158,6 +158,20 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             MixtureModel([1.0], [0.0], [1.0], 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureModel([1.0], [bad], [1.0], 100)
+        with pytest.raises(ValueError, match="finite"):
+            MixtureModel([1.0], [0.0], [bad], 100)
+        with pytest.raises(ValueError, match="finite"):
+            MixtureModel([bad], [0.0], [1.0], 100)
+
+    def test_non_positive_variance_rejected(self):
+        for var in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                MixtureModel([0.5, 0.5], [0.0, 1.0], [1.0, var], 100)
+
     def test_check_flags_bad_weight_sum(self):
         m = _model([0.6, 0.6], [0.0, 5.0], [1.0, 1.0])
         with pytest.raises(AssertionError):
