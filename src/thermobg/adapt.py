@@ -344,6 +344,7 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig
 
 
 def _approx_chunk(log_w, mu, sigma, x, n_eps, cfg):
+    """epsilon_star_approx_rows on a range of rows: (eps*, log p)."""
     starts = np.cumsum(n_eps) - n_eps
     row = np.repeat(np.arange(n_eps.size), n_eps)
     grid = (cfg.epsilon_min + (np.arange(row.size) - starts[row])

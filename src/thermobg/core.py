@@ -138,23 +138,15 @@ class MixtureState:
                for m in models):
             raise ValueError("models disagree on history_len or intensity_levels")
         k = np.array([m.n_components for m in models], dtype=np.int64)
-        state = cls.empty(len(models), int(k.max()), n, levels)
+        shape = (len(models), int(k.max()))
+        state = cls(np.zeros(shape), np.zeros(shape), np.ones(shape), k, n,
+                    levels)
         rows = np.repeat(np.arange(len(models)), k)
         cols = np.arange(rows.size) - np.repeat(np.cumsum(k) - k, k)
         for name in ("weights", "means", "variances"):
             getattr(state, name)[rows, cols] = [
                 v for m in models for v in getattr(m, name)]
-        state.k = k
         return state
-
-    @classmethod
-    def empty(cls, n_pixels: int, capacity: int, history_len: int,
-              intensity_levels: int = 256) -> "MixtureState":
-        """A state of padding only: every k is 0."""
-        shape = (n_pixels, capacity)
-        return cls(np.zeros(shape), np.zeros(shape), np.ones(shape),
-                   np.zeros(n_pixels, dtype=np.int64), history_len,
-                   intensity_levels)
 
     @property
     def n_pixels(self) -> int:

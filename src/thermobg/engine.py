@@ -151,8 +151,7 @@ def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
     flat = frame.reshape(-1)
     finite = np.isfinite(flat)
     all_finite = bool(finite.all())
-    with np.errstate(invalid="ignore"):
-        posterior = posterior_bg_rows(grid.state, flat, grid.seg_config)
+    posterior = posterior_bg_rows(grid.state, flat, grid.seg_config)
     if not all_finite:
         posterior[~finite] = 0.0
     labels = np.where(posterior >= grid.seg_config.decision_threshold,
