@@ -168,10 +168,10 @@ class TestExactTotal:
         grid = PixelGrid(1, 1, MixtureState.from_models([model]),
                          FitConfig(k_max=4, history_len=100),
                          AdaptationConfig(), SEG)
-        first = [np.array([[1000.0]])]
-        stream_both(grid, first)
+        stream_both(grid, [np.array([[1000.0]])])  # spawns: K = 4
         w = grid.state.weights[0, 2]
         assert w * 0.99 < 0.01 <= np.nextafter(w, 1.0) * 0.99
+        # spawns, then prunes w and the first newcomer, both now below 1/100
         stream_both(grid, [np.array([[2000.0]])])
         assert grid.state.k.tolist() == [3]
 
