@@ -342,7 +342,7 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig
         part = slice(lo, hi)
         eps[part], log_p[part] = _approx_chunk(
             log_w[part], mu[part], sigma[part], x[part], n_eps[part], cfg)
-    p = np.where(log_p > -745.0, np.exp(np.maximum(log_p, -745.0)), 0.0)
+    p = np.where(log_p > -745.0, np.exp(log_p), 0.0)
     return eps, p, log_p
 
 
@@ -514,9 +514,9 @@ def fsum_rows(values) -> np.ndarray:
 
 def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
                pool: SamplePool | None = None) -> np.ndarray:
-    """One classify-and-adapt step for every pixel of the state, in place:
-    match, evaluate the eps-neighborhood probability, decide, then update
-    the matched pixels, spawn on the others, and prune and renormalize all.
+    """One adaptation step for every pixel of the state, in place: match,
+    evaluate the eps-neighborhood probability, decide, then update the
+    matched pixels, spawn on the others, and prune and renormalize all.
     Returns the per-pixel matched flags.
 
     Exact-history mode reads the neighborhoods from ``pool`` and pushes x
