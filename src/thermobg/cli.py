@@ -3,8 +3,8 @@
 Subcommands: ``fit`` (estimate per-pixel models), ``run`` (stream frames into
 masks), ``eval`` (score masks against ground truth), ``synth`` (regenerate
 the synthetic experiments / render scenario videos) and ``bench`` (streaming
-throughput).  Every command with a seed is bit-reproducible across runs and
-worker counts; each writes a manifest of its arguments next to its outputs.
+throughput).  Every command with a seed is bit-reproducible across runs; each
+writes a manifest of its arguments next to its outputs.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure
 (unconverged fit under --strict).
@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-import threading
 import time
 from dataclasses import replace
 
@@ -26,8 +25,8 @@ import numpy as np
 from . import __version__, frameio
 from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool, SamplePool
 from .core import MixtureModel, MixtureState, mixture_density
-from .engine import (ModelFormatError, PixelGrid, default_workers,
-                     initialize_grid, load_grid, process_frame, save_grid)
+from .engine import (ModelFormatError, PixelGrid, initialize_grid, load_grid,
+                     process_frame, save_grid)
 from .fit import FitConfig, fit
 from .frameio import (FrameFormatError, FrameSequence, read_pgm, write_mask,
                       write_posterior)
@@ -84,7 +83,9 @@ def _build_parser() -> _Parser:
                    help="maximum mixture components (default 50)")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out", required=True, help="output model file (VIMM1)")
-    f.add_argument("--workers", type=int, default=None)
+    f.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: fit runs every pixel in one "
+                        "vectorised batch")
     f.add_argument("--strict", action="store_true",
                    help="fail with exit 3 when any pixel fit is unconverged")
     f.set_defaults(func=cmd_fit)
@@ -187,8 +188,7 @@ def cmd_fit(args) -> int:
         raise ValueError(f"need at least {args.history} frames for the "
                          f"history, input has {history.n_frames}")
     printer = _ProgressPrinter(history.width * history.height)
-    grid = initialize_grid(history, cfg, workers=args.workers,
-                           progress=printer)
+    grid = initialize_grid(history, cfg, progress=printer)
     save_grid(grid, args.out)
 
     hist = grid.component_histogram()
@@ -200,7 +200,8 @@ def cmd_fit(args) -> int:
               file=sys.stderr)
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "fit", args,
                     {"model": args.out, "histogram": {str(k): v for k, v in hist.items()},
-                     "unconverged_pixels": grid.unconverged_pixels},
+                     "unconverged_pixels": grid.unconverged_pixels,
+                     **grid.fit_counts},
                     time.time() - t0)
     if args.strict and grid.unconverged_pixels:
         return EXIT_NUMERICAL
@@ -404,21 +405,19 @@ def _bench_one(width, height, args):
 
 
 class _ProgressPrinter:
-    """Thread-safe decile progress lines for long grid fits."""
+    """Decile progress lines for long grid fits."""
 
     def __init__(self, total: int):
         self.total = total
         self.done = 0
         self.next_mark = max(1, total // 10)
-        self.lock = threading.Lock()
 
-    def __call__(self) -> None:
-        with self.lock:
-            self.done += 1
-            if self.done >= self.next_mark:
-                print(f"fitted {self.done}/{self.total} pixels", file=sys.stderr)
-                while self.next_mark <= self.done:
-                    self.next_mark += max(1, self.total // 10)
+    def __call__(self, n: int) -> None:
+        self.done += n
+        if self.done >= self.next_mark:
+            print(f"fitted {self.done}/{self.total} pixels", file=sys.stderr)
+            while self.next_mark <= self.done:
+                self.next_mark += max(1, self.total // 10)
 
 
 def _pgm_names(directory) -> list[str]:
@@ -458,8 +457,6 @@ def _write_manifest(outdir, command, args, outputs, elapsed) -> None:
         "argv": sys.argv[1:],
         "args": {k: v for k, v in sorted(vars(args).items())
                  if k != "func" and _jsonable(v)},
-        "workers_env": os.environ.get("THERMOBG_WORKERS"),
-        "default_workers": default_workers(),
         "outputs": outputs,
         "elapsed_sec": elapsed,
         "rng_algorithm": RNG_ALGORITHM,

@@ -2,16 +2,14 @@
 initialization from a frame history, then streaming classify-and-adapt.
 
 The grid's models are one MixtureState (and, in exact-history mode, one
-SamplePool).  Fitting is per pixel and may be spread over worker threads
-without changing a bit of the result; streaming runs each frame as one
-vectorised pass over all pixels.  In memory-efficient mode no sample history
-is kept anywhere.
+SamplePool).  Fitting runs every pixel at once in one lock-step batch, and a
+pixel's model does not depend on the others; streaming runs each frame as
+one vectorised pass over all pixels.  In memory-efficient mode no sample
+history is kept anywhere.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +17,8 @@ import numpy as np
 from .adapt import adapt  # noqa: F401  perfbench/pipeline.py wraps engine.adapt
 from .adapt import MODE_EXACT, AdaptationConfig, SamplePool, adapt_rows
 from .core import MixtureModel, MixtureState
-from .fit import FitConfig, fit
+from .fit import fit  # noqa: F401  perfbench/pipeline.py wraps engine.fit
+from .fit import FitConfig, fit_rows
 from .frameio import FrameSequence
 from .segment import (FOREGROUND, MaskFrame, SegmentationConfig, blob_filter,
                       posterior_bg_rows)
@@ -47,6 +46,8 @@ class PixelGrid:
     seg_config: SegmentationConfig = field(default_factory=SegmentationConfig)
     pool: SamplePool | None = None  # exact-history mode only
     unconverged_pixels: int = 0
+    # totals over the fitted pixels: em_iters, death_trials, death_accepts
+    fit_counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         n_pixels = self.width * self.height
@@ -67,26 +68,16 @@ class PixelGrid:
         return {int(k): int(c) for k, c in zip(ks, counts)}
 
 
-def default_workers() -> int:
-    env = os.environ.get("THERMOBG_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def initialize_grid(history: FrameSequence, fit_config: FitConfig,
                     adapt_config: AdaptationConfig | None = None,
                     seg_config: SegmentationConfig | None = None,
-                    workers: int | None = None,
                     progress=None) -> PixelGrid:
     """Fit every pixel's model from the first N frames.
 
     ``history`` is a FrameSequence, which carries the intensity depth the
     models are fitted at; its frame count must equal fit_config.history_len.
-    Per-pixel RNG substreams are spawned from fit_config.rng_seed, so results
-    do not depend on the worker count.  ``progress()`` is called once per
-    finished pixel.
+    Per-pixel RNG substreams are spawned from fit_config.rng_seed.
+    ``progress(n)`` is called as n more pixels finish.
     """
     if not isinstance(history, FrameSequence):
         raise TypeError(
@@ -102,34 +93,23 @@ def initialize_grid(history: FrameSequence, fit_config: FitConfig,
 
     adapt_config = adapt_config or AdaptationConfig()
     seg_config = seg_config or SegmentationConfig()
-    workers = workers or default_workers()
     n_pixels = width * height
-    seeds = np.random.SeedSequence(fit_config.rng_seed).spawn(n_pixels)
-
-    models: list[MixtureModel | None] = [None] * n_pixels
-    unconverged = [0] * n_pixels
+    seeds = [int(s.generate_state(1, dtype=np.uint64)[0]) for s in
+             np.random.SeedSequence(fit_config.rng_seed).spawn(n_pixels)]
     columns = frames.reshape(n_frames, n_pixels)
-
-    def fit_range(lo: int, hi: int) -> None:
-        for idx in range(lo, hi):
-            seed = int(seeds[idx].generate_state(1, dtype=np.uint64)[0])
-            cfg = replace(fit_config, rng_seed=seed)
-            result = fit(columns[:, idx], cfg, intensity_levels=levels)
-            models[idx] = result.model
-            unconverged[idx] = int(not result.converged)
-            if progress is not None:
-                progress()
-
-    _run_partitioned(fit_range, n_pixels, workers)
+    fitted = fit_rows(columns.T, fit_config, seeds, intensity_levels=levels,
+                      progress=progress)
 
     pool = None
     if adapt_config.mode == MODE_EXACT:
         pool = SamplePool.from_history(columns, fit_config.history_len)
-    return PixelGrid(width=width, height=height,
-                     state=MixtureState.from_models(models),
+    counts = {name: int(getattr(fitted, name).sum())
+              for name in ("em_iters", "death_trials", "death_accepts")}
+    return PixelGrid(width=width, height=height, state=fitted.state,
                      fit_config=fit_config, adapt_config=adapt_config,
                      seg_config=seg_config, pool=pool,
-                     unconverged_pixels=sum(unconverged))
+                     unconverged_pixels=int((~fitted.converged).sum()),
+                     fit_counts=counts)
 
 
 def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
@@ -198,7 +178,8 @@ def load_grid(path, fit_config: FitConfig | None = None,
               seg_config: SegmentationConfig | None = None) -> PixelGrid:
     """Read a VIMM1 model file back into a PixelGrid.
 
-    Corrupt input raises ModelFormatError naming the offending pixel.
+    Corrupt input raises ModelFormatError naming the offending pixel,
+    weights that do not sum to 1 or fall below 1/N included.
     Configurations are not part of the format; absent ones get defaults
     consistent with the stored history length.
     """
@@ -240,7 +221,8 @@ def load_grid(path, fit_config: FitConfig | None = None,
             model = MixtureModel(weights=values[0::3], means=values[1::3],
                                  variances=values[2::3], history_len=n_hist,
                                  intensity_levels=levels)
-        except (ValueError, IndexError) as exc:
+            model.check()
+        except (ValueError, IndexError, AssertionError) as exc:
             raise ModelFormatError(
                 f"pixel {idx} (line {idx + 2}): {exc}", pixel_index=idx) from exc
         models.append(model)
@@ -255,17 +237,3 @@ def load_grid(path, fit_config: FitConfig | None = None,
                      fit_config=fit_config,
                      adapt_config=adapt_config or AdaptationConfig(),
                      seg_config=seg_config or SegmentationConfig())
-
-
-def _run_partitioned(fn, n_items: int, workers: int) -> None:
-    """Run fn(lo, hi) over disjoint contiguous ranges covering n_items."""
-    workers = max(1, min(workers, n_items)) if n_items else 1
-    if workers == 1:
-        fn(0, n_items)
-        return
-    bounds = np.linspace(0, n_items, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, int(lo), int(hi))
-                   for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        for fut in futures:
-            fut.result()

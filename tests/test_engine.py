@@ -30,13 +30,13 @@ def fit_config():
     return FitConfig(k_max=4, history_len=HISTORY, rng_seed=11)
 
 
-def stream(mode, workers):
-    """Fit with ``workers`` threads, then stream the rest of the video."""
+def stream(mode):
+    """Fit the history, then stream the rest of the video."""
     video = small_video()
     history = FrameSequence(video.frames[:HISTORY], video.intensity_levels)
     grid = initialize_grid(history, fit_config(),
                            adapt_config=AdaptationConfig(mode=mode),
-                           seg_config=SEG, workers=workers)
+                           seg_config=SEG)
     fitted = grid.state.models()
     masks = [process_frame(grid, frame) for frame in video.frames[HISTORY:]]
     return grid, fitted, masks
@@ -52,13 +52,12 @@ def assert_same_state(a, b):
             assert np.array_equal(getattr(a.pool, name), getattr(b.pool, name))
 
 
-class TestWorkerInvariance:
+class TestRepeatability:
     @pytest.mark.parametrize("mode", ["approx", "exact"])
-    def test_one_and_two_workers_agree(self, mode):
-        # the fit spreads pixels over 1 or 2 threads; the two streams that
-        # follow are identical runs of the one vectorised frame pass
-        g1, fit1, masks1 = stream(mode, workers=1)
-        g2, fit2, masks2 = stream(mode, workers=2)
+    def test_fit_and_stream_repeat(self, mode):
+        # two runs of the batched fit and of the vectorised frame pass
+        g1, fit1, masks1 = stream(mode)
+        g2, fit2, masks2 = stream(mode)
         assert fit1 == fit2
         assert g1.unconverged_pixels == g2.unconverged_pixels
         for a, b in zip(masks1, masks2):
@@ -75,8 +74,7 @@ class TestSingleModelPath:
     def test_process_frame_posterior_is_posterior_bg(self):
         video = small_video()
         history = FrameSequence(video.frames[:HISTORY], video.intensity_levels)
-        grid = initialize_grid(history, fit_config(), seg_config=SEG,
-                               workers=1)
+        grid = initialize_grid(history, fit_config(), seg_config=SEG)
         for frame in video.frames[HISTORY:]:
             before = grid.state.models()
             mask = process_frame(grid, frame)
@@ -85,7 +83,7 @@ class TestSingleModelPath:
             assert np.array_equal(mask.posterior.ravel(), expected)
 
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
-        grid, _, _ = stream("approx", workers=1)
+        grid, _, _ = stream("approx")
         path = tmp_path / "grid.vimm"
         save_grid(grid, path)
         back = load_grid(path)
@@ -104,7 +102,7 @@ class TestInitializeGrid:
     def test_sixteen_bit_history_keeps_its_depth(self, tmp_path):
         video = small_video(base=30000.0, sigma=8.0, levels=65536)
         history = FrameSequence(video.frames[:HISTORY], 65536)
-        grid = initialize_grid(history, fit_config(), workers=1)
+        grid = initialize_grid(history, fit_config())
         assert grid.intensity_levels == 65536
         assert {m.intensity_levels for m in grid.state.models()} == {65536}
         path = tmp_path / "g16.vimm"
@@ -114,22 +112,34 @@ class TestInitializeGrid:
     def test_bare_array_rejected(self):
         frames = small_video().frames[:HISTORY]
         with pytest.raises(TypeError, match="FrameSequence"):
-            initialize_grid(frames, fit_config(), workers=1)
+            initialize_grid(frames, fit_config())
 
-    def test_progress_called_once_per_pixel(self):
+    def test_progress_counts_every_pixel(self):
         video = small_video()
         history = FrameSequence(video.frames[:HISTORY], video.intensity_levels)
         calls = []
-        initialize_grid(history, fit_config(), workers=2,
-                        progress=lambda: calls.append(1))
-        assert len(calls) == HEIGHT * WIDTH
+        initialize_grid(history, fit_config(), progress=calls.append)
+        assert sum(calls) == HEIGHT * WIDTH
+        assert min(calls) >= 1
+
+
+class TestLoadGrid:
+    @pytest.mark.parametrize("record", ["2 0.5 10 1 0.6 50 1",
+                                        "2 0.995 10 1 0.005 50 1"])
+    def test_weight_invariants_are_enforced(self, tmp_path, record):
+        # weights summing to 1.1, and a weight below 1/N at N = 100
+        path = tmp_path / "bad.vimm"
+        path.write_text(f"VIMM1 2 1 100 256\n1 1 10 1\n{record}\n")
+        with pytest.raises(ModelFormatError, match="pixel 1") as info:
+            load_grid(path)
+        assert info.value.pixel_index == 1
 
 
 class TestNonFinite:
     @pytest.mark.parametrize("field", [1, 2, 3])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_load_grid_names_the_pixel(self, tmp_path, field, bad):
-        grid, _, _ = stream("approx", workers=1)
+        grid, _, _ = stream("approx")
         path = tmp_path / "grid.vimm"
         save_grid(grid, path)
         lines = path.read_text().splitlines()
@@ -148,7 +158,7 @@ class TestNonFinite:
         seg = SegmentationConfig(min_blob_area=0)
         grid = initialize_grid(history, fit_config(),
                                adapt_config=AdaptationConfig(mode=mode),
-                               seg_config=seg, workers=1)
+                               seg_config=seg)
         frame = video.frames[HISTORY].copy()
         bad = {3: math.nan, 8: math.inf, 12: -math.inf}
         for idx, value in bad.items():
@@ -168,7 +178,7 @@ class TestNonFinite:
         # every other pixel adapted as if the frame had no bad samples
         twin = initialize_grid(history, fit_config(),
                                adapt_config=AdaptationConfig(mode=mode),
-                               seg_config=seg, workers=1)
+                               seg_config=seg)
         clean = video.frames[HISTORY]
         twin_mask = process_frame(twin, clean)
         for idx in range(HEIGHT * WIDTH):

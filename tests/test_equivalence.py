@@ -46,7 +46,7 @@ def fitted_grid(depth, mode, seed, stream=STREAM):
     grid = initialize_grid(history, FitConfig(k_max=4, history_len=HISTORY,
                                               rng_seed=seed),
                            adapt_config=AdaptationConfig(mode=mode),
-                           seg_config=SEG, workers=1)
+                           seg_config=SEG)
     return grid, seq.frames[HISTORY:]
 
 
