@@ -43,6 +43,12 @@ _CHUNK_POINTS = 1 << 14
 # differences and their sums with any eps of the grid are exact in float64
 _EXACT_BELOW = 2.0 ** 51
 
+# relative margin by which the eps cut-offs of _capped_length err on the
+# side of evaluating more; far above the few-ulp rounding they guard against
+_CEILING_MARGIN = 2.0 ** -20
+# the cut-off's log bound is clipped here, so exp cannot overflow
+_LOG_EPS_CAP = 700.0
+
 # fsum_rows is exact for row sums below 2**51 / K times the smallest weight;
 # weights of at least 1/N meet that up to this history length
 MAX_HISTORY_LEN = 1 << 25
@@ -179,7 +185,8 @@ def match_component(model: MixtureModel, x: float) -> tuple[int, float]:
     return int(c[0]), math.sqrt(d2[0])
 
 
-def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig
+def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
+                            log_density=None
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per pixel, maximize p(x; eps) = (N_eps / N) / (2 eps) over the
     integer eps grid, where N is the pixel's stored sample count and N_eps
@@ -198,36 +205,94 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig
     A pixel's grid runs from cfg.epsilon_min to the ceiling of its pool's
     value range; the smallest eps wins ties.  An empty neighborhood
     everywhere, or an empty pool, yields (epsilon_min, 0, -inf).
+
+    A window holds at most all N samples, so p(eps) <= 1 / (2 eps), and
+    only a prefix of the grid is evaluated:
+    - Branch and bound, for a grid longer than the pool: the k stored
+      samples nearest x lie strictly inside the window of the first grid
+      eps at least 1 beyond the k-th nearest's distance, so p there is at
+      least k / (2 N eps).  The best of these lower bounds q is at most
+      the grid's best p, and no eps whose bound 1 / (2 eps) falls short of
+      q (_capped_length) is evaluated.  Every result is the full grid's.
+    - Given ``log_density``, the matched component's log density
+      log f(x) per pixel, the grid also stops at the last eps whose bound
+      can reach f(x), and a pixel with no such eps gets
+      (epsilon_min, 0, -inf).  adapt_rows matches a pixel when
+      log f(x) >= log p(eps*).  If the full grid's eps* lies beyond the
+      cut, its p is at most f(x) and so is the prefix's best p: both
+      grids match.  Otherwise the prefix holds the same first argmax.  So
+      the matched flags are the full grid's, and on every miss so are
+      eps*, p and log p.
     """
     x = np.asarray(x, dtype=np.float64)
     eps = np.full(x.size, cfg.epsilon_min, dtype=np.int64)
     p = np.zeros(x.size)
     log_p = np.full(x.size, -np.inf)
-    stored = pool.count
-    filled = np.flatnonzero(stored > 0)
+    count = pool.count
+    filled = np.flatnonzero(count > 0)
     if filled.size == 0:
         return eps, p, log_p
-    count = stored[filled]
-    if filled.size == x.size and count.min() == pool.maxlen:
-        values = pool.samples.reshape(-1)
-    else:  # the stored samples, flat and grouped by pixel
-        values = pool.samples[filled][np.arange(pool.maxlen) < count[:, None]]
-    first = np.cumsum(count) - count
-    spread = (np.maximum.reduceat(values, first)
-              - np.minimum.reduceat(values, first))
-    top = np.maximum(cfg.epsilon_min, np.ceil(spread)).astype(np.int64)
-    n_eps = (top - cfg.epsilon_min) // cfg.epsilon_step + 1
-    for lo, hi in _row_chunks(n_eps + count, _CHUNK_POINTS):
-        rows = filled[lo:hi]
-        eps[rows], p[rows], log_p[rows] = _exact_chunk(
-            values[first[lo]:first[hi - 1] + count[hi - 1]], count[lo:hi],
-            x[rows], n_eps[lo:hi], cfg)
+    samples, stored = pool.samples, None
+    if count.min() < pool.maxlen:
+        stored = np.arange(pool.maxlen) < count[:, None]
+        v_max = np.where(stored, samples, -np.inf).max(axis=1)[filled]
+        v_min = np.where(stored, samples, np.inf).min(axis=1)[filled]
+    else:
+        v_max, v_min = samples.max(axis=1), samples.min(axis=1)
+    n_eps = np.zeros(x.size, dtype=np.int64)
+    top = np.maximum(cfg.epsilon_min, np.ceil(v_max - v_min))
+    n_eps[filled] = ((top.astype(np.int64) - cfg.epsilon_min)
+                     // cfg.epsilon_step + 1)
+    if log_density is not None:
+        n_eps = _capped_length(n_eps, 0.0, log_density, cfg)
+    long = np.flatnonzero(n_eps > pool.maxlen)
+    if long.size:
+        q = _window_lower_bound(samples[long], None if stored is None
+                                else stored[long], x[long], count[long],
+                                n_eps[long], cfg)
+        with np.errstate(divide="ignore"):
+            n_eps[long] = _capped_length(n_eps[long], 0.0, np.log(q), cfg)
+
+    rows = np.flatnonzero(n_eps > 0)
+    for lo, hi in _row_chunks((n_eps + count)[rows], _CHUNK_POINTS):
+        r = rows[lo:hi]
+        if r[-1] - r[0] == r.size - 1:
+            r = slice(r[0], r[-1] + 1)  # a view of the pool, not a copy
+        eps[r], p[r] = _exact_chunk(
+            samples[r], None if stored is None else stored[r], x[r],
+            count[r], n_eps[r], cfg)
+    found = p > 0.0
+    log_p[found] = np.log(p[found])
     return eps, p, log_p
 
 
-def _exact_chunk(values, count, x, n_eps, cfg):
-    """epsilon_star_exact_rows on pools that all hold samples, given flat
-    and grouped by pixel.
+def _window_lower_bound(samples, stored, x, count, n_eps, cfg):
+    """Per row, a lower bound q on the best p(x; eps) of its n_eps-point
+    grid: the largest k / (2 N eps_k) over the k for which eps_k, the first
+    grid eps at or above 1 + the k-th smallest |v - x|, is on the grid.
+    The k nearest samples lie strictly inside that window (below 2**50,
+    rounding moves |v - x| and x +- eps by less than 1/2 together), so
+    N_eps >= k there.  The computed p there, 0.5 * 2 N_eps over
+    N * 2 eps, is then at least the computed q, which divides k by the
+    same denominator.  0 where no k qualifies."""
+    dist = np.abs(samples - x[:, None])
+    if stored is not None:
+        dist[~stored] = np.inf
+    dist.sort(axis=1)
+    steps = np.ceil(np.maximum(dist + 1.0 - cfg.epsilon_min, 0.0)
+                    / cfg.epsilon_step)
+    on_grid = steps < n_eps[:, None]
+    eps_k = np.where(on_grid, cfg.epsilon_min + steps * cfg.epsilon_step, 1.0)
+    k = np.arange(1, samples.shape[1] + 1)
+    q = k / (count[:, None] * 2.0 * eps_k)
+    return np.where(on_grid, q, 0.0).max(axis=1)
+
+
+def _exact_chunk(samples, stored, x, count, n_eps, cfg):
+    """epsilon_star_exact_rows on a range of rows with stored samples:
+    (eps*, p) over their first n_eps grid points, from their (rows, N)
+    samples; ``stored`` masks the stored ones of partly filled pools (None
+    when all are full).
 
     Twice N_eps at eps = eps_j is the sum over the stored samples v of
     [v <= x + eps] + [v < x + eps] + [v >= x - eps] + [v > x - eps] - 2.
@@ -239,27 +304,39 @@ def _exact_chunk(values, count, x, n_eps, cfg):
     are exact, as for integer-valued samples and x below 2**51, or v - x is
     far enough from every integer eps for rounding not to cross it.  The
     four steps of any other sample are located with the floating-point
-    comparisons themselves.
+    comparisons themselves.  "Far enough" is more than 2**-48 times a
+    bound on |v| + |x| + eps, well above the rounding of x +- eps and of
+    v - x.  When every sample and x are such integers, 2 |v - x| is an
+    integer and the second step lies one bin past the first, so one
+    histogram H gives both: twice N_eps = H(<= 2 eps) + H(<= 2 eps - 1).
     """
     e0, step = cfg.epsilon_min, cfg.epsilon_step
     eps_top = e0 + (n_eps - 1) * step
+    values = samples.reshape(-1) if stored is None else samples[stored]
     bins = 2 * eps_top + 2  # z = 0 .. 2 eps_top, then an overflow bin
     row_first = np.cumsum(bins) - bins
     xv = np.repeat(x, count)
     z_over = np.repeat(bins - 1, count).astype(np.float64)
     t = values - xv
     dist = 2.0 * np.abs(t)
-    steps = [np.minimum(np.ceil(dist), z_over),
-             np.minimum(np.floor(dist) + 1.0, z_over)]
-    first = [np.repeat(row_first, count)] * 2
-
     x_exact = (x == np.floor(x)) & (np.abs(x) < _EXACT_BELOW)
-    rounded = np.flatnonzero(~(np.repeat(x_exact, count)
-                               & (values == np.floor(values))
-                               & (np.abs(values) < _EXACT_BELOW)))
-    slack = ((np.abs(values[rounded]) + np.abs(xv[rounded])
-              + np.repeat(eps_top, count)[rounded]) * 2.0 ** -48)
-    near = rounded[np.abs(t[rounded] - np.rint(t[rounded])) <= slack]
+    closed = np.repeat(x_exact, count)
+    if x_exact.any():
+        closed &= ((values == np.floor(values))
+                   & (np.abs(values) < _EXACT_BELOW))
+    integer = bool(closed.all())
+    if integer:  # the second step is one bin past the first
+        steps = [np.minimum(dist, z_over)]
+    else:
+        steps = [np.minimum(np.ceil(dist), z_over),
+                 np.minimum(np.floor(dist) + 1.0, z_over)]
+    first = [np.repeat(row_first, count)] * len(steps)
+
+    near = np.empty(0, dtype=np.intp)
+    if not integer:
+        mag = np.abs(samples).max(axis=1) + np.abs(x) + eps_top
+        slack = np.repeat(mag * 2.0 ** -48, count)
+        near = np.flatnonzero(~closed & (np.abs(t - np.rint(t)) <= slack))
     twice_less = 0
     if near.size:
         for z in steps:
@@ -292,16 +369,15 @@ def _exact_chunk(values, count, x, n_eps, cfg):
     running = np.cumsum(hist)
     before = running[row_first] - hist[row_first] + twice_less
     point_row = np.repeat(np.arange(n_eps.size), n_eps)
-    grid = e0 + (np.arange(point_row.size)
-                 - np.repeat(np.cumsum(n_eps) - n_eps, n_eps)) * step
-    twice = running[row_first[point_row] + 2 * grid] - before[point_row]
+    starts = np.cumsum(n_eps) - n_eps
+    grid = e0 + (np.arange(point_row.size) - starts[point_row]) * step
+    at = row_first[point_row] + 2 * grid
+    twice = running[at] - before[point_row]
+    if integer:
+        twice += running[at - 1] - before[point_row]
     p = 0.5 * twice / (count[point_row] * 2.0 * grid)
-    best, p_best = _first_argmax(p, np.cumsum(n_eps) - n_eps, point_row)
-    found = p_best > 0.0
-    with np.errstate(divide="ignore"):
-        log_p = np.where(found, np.log(p_best), -np.inf)
-    return (np.where(found, grid[best], e0), np.where(found, p_best, 0.0),
-            log_p)
+    best, p_best = _first_argmax(p, starts, point_row)
+    return np.where(p_best > 0.0, grid[best], e0), p_best
 
 
 def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
@@ -316,7 +392,8 @@ def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
     return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
 
 
-def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig
+def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig,
+                             log_density=None
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Memory-efficient neighborhood probability of each pixel's sample x
     via its matched component's (weight w, mean mu, variance var)
@@ -328,6 +405,14 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig
     Returns the arrays (eps*, p, log p).  Computed in the log domain so
     far-tail samples keep a meaningful value instead of underflowing to
     zero.
+
+    The window's mass is at most 1, so p~(eps) <= w / (2 eps).  Given
+    ``log_density``, the matched component's log density log f(x) per
+    pixel, the grid stops at the last eps whose bound can reach f(x)
+    (_capped_length), and a pixel with no such eps gets
+    (epsilon_min, 0, -inf).  As in epsilon_star_exact_rows, the matched
+    flags log f(x) >= log p(eps*) are then the full grid's, and on every
+    miss so are eps*, p and log p.
     """
     w, mu, var, x = (np.asarray(a, dtype=np.float64) for a in (w, mu, var, x))
     sigma = np.sqrt(var)
@@ -336,12 +421,15 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig
     n_eps = (top - cfg.epsilon_min) // cfg.epsilon_step + 1
     with np.errstate(divide="ignore"):
         log_w = np.where(w > 0.0, np.log(w), -np.inf)
-    eps = np.empty(x.size, dtype=np.int64)
-    log_p = np.empty(x.size)
-    for lo, hi in _row_chunks(n_eps, _CHUNK_POINTS):
-        part = slice(lo, hi)
-        eps[part], log_p[part] = _approx_chunk(
-            log_w[part], mu[part], sigma[part], x[part], n_eps[part], cfg)
+    if log_density is not None:
+        n_eps = _capped_length(n_eps, log_w, log_density, cfg)
+    eps = np.full(x.size, cfg.epsilon_min, dtype=np.int64)
+    log_p = np.full(x.size, -np.inf)
+    live = np.flatnonzero(n_eps > 0)
+    for lo, hi in _row_chunks(n_eps[live], _CHUNK_POINTS):
+        rows = live[lo:hi]
+        eps[rows], log_p[rows] = _approx_chunk(
+            log_w[rows], mu[rows], sigma[rows], x[rows], n_eps[rows], cfg)
     p = np.where(log_p > -745.0, np.exp(log_p), 0.0)
     return eps, p, log_p
 
@@ -378,17 +466,22 @@ def epsilon_star_approx(model: MixtureModel, c: int, x: float,
     return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
 
 
-def decide_rows(mu, var, x, log_p_eps_star) -> np.ndarray:
+def log_density_rows(mu, var, x) -> np.ndarray:
+    """Log density of N(mu, var) at x per pixel: the matched component's
+    log f(x) that decide_rows compares and the eps searches are cut by."""
+    mu, var, x = (np.asarray(a, dtype=np.float64) for a in (mu, var, x))
+    return -0.5 * (_LOG_2PI + np.log(var)) - 0.5 * (x - mu) * (x - mu) / var
+
+
+def decide_rows(log_density, log_p_eps_star) -> np.ndarray:
     """True where the sample is already represented by the model: the
-    matched component's (mean mu, variance var) density at x is at least
-    the eps-neighborhood probability.
+    matched component's density at x (log_density_rows) is at least the
+    eps-neighborhood probability.
 
     The comparison runs in the log domain, so a density that underflows in
     the far tail still loses to a nonzero neighborhood mass.
     """
-    mu, var, x = (np.asarray(a, dtype=np.float64) for a in (mu, var, x))
-    logpdf = -0.5 * (_LOG_2PI + np.log(var)) - 0.5 * (x - mu) * (x - mu) / var
-    return logpdf >= log_p_eps_star
+    return np.asarray(log_density) >= log_p_eps_star
 
 
 def decide(model: MixtureModel, c: int, x: float, p_eps_star: float,
@@ -397,8 +490,9 @@ def decide(model: MixtureModel, c: int, x: float, p_eps_star: float,
     taken from p_eps_star when not given."""
     if log_p_eps_star is None:
         log_p_eps_star = math.log(p_eps_star) if p_eps_star > 0.0 else -math.inf
-    return bool(decide_rows([model.means[c]], [model.variances[c]],
-                            [float(x)], log_p_eps_star)[0])
+    log_f = log_density_rows([model.means[c]], [model.variances[c]],
+                             [float(x)])
+    return bool(decide_rows(log_f, log_p_eps_star)[0])
 
 
 def update_matched_rows(state: MixtureState, rows, c, x) -> None:
@@ -515,9 +609,16 @@ def fsum_rows(values) -> np.ndarray:
 def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
                pool: SamplePool | None = None) -> np.ndarray:
     """One adaptation step for every pixel of the state, in place: match,
-    evaluate the eps-neighborhood probability, decide, then update the
-    matched pixels, spawn on the others, and prune and renormalize all.
-    Returns the per-pixel matched flags.
+    take the matched component's log density log f(x), evaluate the
+    eps-neighborhood probability, decide, then update the matched pixels,
+    spawn on the others, and prune and renormalize all.  Returns the
+    per-pixel matched flags.
+
+    The decision and the eps search share log f(x): only the eps whose
+    bound 1 / (2 eps) (w / (2 eps) in memory-efficient mode) reaches f(x)
+    can make a pixel miss, so only those are evaluated.  The matched flags,
+    and eps* on every miss, are those of the full grid (see
+    epsilon_star_exact_rows), so the models are too.
 
     Exact-history mode reads the neighborhoods from ``pool`` and pushes x
     into it afterwards; memory-efficient mode needs no stored samples.
@@ -529,12 +630,13 @@ def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
     c, _ = match_rows(state, x)
     rows = np.arange(state.n_pixels)
     mean, var = state.means[rows, c], state.variances[rows, c]
+    log_f = log_density_rows(mean, var, x)
     if cfg.mode == MODE_EXACT:
-        eps, _, log_p = epsilon_star_exact_rows(pool, x, cfg)
+        eps, _, log_p = epsilon_star_exact_rows(pool, x, cfg, log_f)
     else:
         eps, _, log_p = epsilon_star_approx_rows(state.weights[rows, c], mean,
-                                                 var, x, cfg)
-    matched = decide_rows(mean, var, x, log_p)
+                                                 var, x, cfg, log_f)
+    matched = decide_rows(log_f, log_p)
     hit = np.flatnonzero(matched)
     miss = np.flatnonzero(~matched)
     update_matched_rows(state, hit, c[hit], x[hit])
@@ -548,7 +650,9 @@ def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
 def adapt(model: MixtureModel, x: float, cfg: AdaptationConfig,
           pool: HistoryPool | None = None) -> tuple[MixtureModel, bool]:
     """adapt_rows for one model and a finite sample x; exact-history mode
-    reads and feeds ``pool``."""
+    reads and feeds ``pool``.  Like adapt_rows it evaluates only the eps
+    that can make the sample a miss, and returns the full grid's model and
+    matched flag."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"sample must be finite, got {x}")
@@ -581,6 +685,41 @@ def _row_chunks(cost, limit: int):
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
+
+
+def _capped_length(n_eps, log_mass, log_ref, cfg: AdaptationConfig):
+    """Per row, how many leading points of an n_eps-point eps grid can have
+    a neighborhood probability of at least r = exp(log_ref) when no window
+    holds more than m = exp(log_mass): m / (2 eps) >= r needs
+    eps <= exp(b) / 2 with b = log m - log r.  A row with none gets 0.
+
+    Rounding.  Each quantity below is computed within a relative error of
+    a few units of 2**-53: the exactly rounded additions, multiplications
+    and divisions, and numpy's log and exp, which are within a few ulp.
+    - Exact mode (m = 1): the computed p(eps) is the rounded quotient of
+      the exactly computed N_eps <= N and 2 N eps, so it is at most
+      (1 + 2**-53) / (2 eps), and its computed log at most
+      -log(2 eps) + 2**-50 (1 + log(2 eps)).
+    - Approx mode (m = w): the computed log mass is at most 0 (log_ndtr
+      and log1p(-exp(.)) are both <= 0) and rounding is monotone, so the
+      computed log p(eps) is at most the rounded log w - log(2 eps), which
+      is within 2**-50 (1 + |log w| + log(2 eps)) of the exact value.
+    The computed b and exp(b) / 2 carry errors of the same order.  The
+    margin 2**-20 (1 + |log m| + |log r|) added to b exceeds all of them
+    together more than 2**20-fold, also when log(2 eps) is large: there the
+    gap log(2 eps) - b grows as fast as the error term.  So for every eps
+    cut off, log p(eps) (the exact log of the computed p in exact mode, the
+    computed log p in approx mode) lies below the computed log r by more
+    than the few ulp by which a computed log can be off.  Hence the computed
+    log of p(eps), or of any p no larger, stays below log r, and p(eps)
+    itself below r.  A zero m or r keeps the whole grid.
+    """
+    with np.errstate(invalid="ignore"):
+        margin = _CEILING_MARGIN * (1.0 + np.abs(log_mass) + np.abs(log_ref))
+        bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
+    half = 0.5 * np.exp(bound)
+    length = (np.floor(half) - cfg.epsilon_min) // cfg.epsilon_step + 1
+    return np.clip(length, 0, n_eps).astype(np.int64)
 
 
 def _prefix_length(holds, guess, limit):

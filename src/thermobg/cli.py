@@ -180,7 +180,7 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def cmd_fit(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = FitConfig(k_max=args.kmax, history_len=args.history,
                     rng_seed=args.seed)
     history, _ = _load_frames(args, limit=args.history)
@@ -202,14 +202,14 @@ def cmd_fit(args) -> int:
                     {"model": args.out, "histogram": {str(k): v for k, v in hist.items()},
                      "unconverged_pixels": grid.unconverged_pixels,
                      **grid.fit_counts},
-                    time.time() - t0)
+                    time.perf_counter() - t0)
     if args.strict and grid.unconverged_pixels:
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     seq, names = _load_frames(args)
     seg = SegmentationConfig(p_bg=args.pbg, decision_threshold=args.threshold,
                              min_blob_area=args.min_blob,
@@ -236,7 +236,7 @@ def cmd_run(args) -> int:
     out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
     save_grid(grid, out_model)
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     fps = seq.n_frames / elapsed if elapsed > 0 else float("inf")
     print(f"processed {seq.n_frames} frames at {fps:.2f} fps")
     _write_manifest(args.outdir, "run", args,
@@ -288,7 +288,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth_fit_demo(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     os.makedirs(args.outdir, exist_ok=True)
     specs = fitting_demo_specs()
     data = gen_mixture_samples(specs, args.seed)
@@ -304,12 +304,12 @@ def cmd_synth_fit_demo(args) -> int:
           f"(generators: {len(specs)}), means="
           f"{[round(m, 2) for m in sorted(model.means)]}")
     _write_manifest(args.outdir, "synth fit-demo", args,
-                    {"k": model.n_components}, time.time() - t0)
+                    {"k": model.n_components}, time.perf_counter() - t0)
     return EXIT_OK
 
 
 def cmd_synth_update_demo(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     os.makedirs(args.outdir, exist_ok=True)
     initial_specs, novel = adaptation_demo_specs()
     data = gen_mixture_samples(initial_specs, args.seed)
@@ -337,12 +337,12 @@ def cmd_synth_update_demo(args) -> int:
     ks = {name: m.n_components for name, m in stages}
     print(f"components per stage: {ks}")
     _write_manifest(args.outdir, "synth update-demo", args, ks,
-                    time.time() - t0)
+                    time.perf_counter() - t0)
     return EXIT_OK
 
 
 def cmd_synth_video(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     scenario = load_scenario(args.config)
     seq, gt = gen_video(scenario)
     frames_dir = os.path.join(args.outdir, "frames")
@@ -360,7 +360,7 @@ def cmd_synth_video(args) -> int:
     _write_manifest(args.outdir, "synth video", args,
                     {"frames": seq.n_frames, "rng": RNG_ALGORITHM,
                      "config": os.path.abspath(args.config)},
-                    time.time() - t0)
+                    time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -395,10 +395,10 @@ def _bench_one(width, height, args):
             rng.normal(16.0, 1.5, (n_pixels, 100)).T, maxlen=100)
     rng = np.random.default_rng(args.seed)
     frames = rng.normal(16.0, 1.5, (args.frames, height, width))
-    t0 = time.time()
+    t0 = time.perf_counter()
     for i in range(args.frames):
         process_frame(grid, frames[i])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     fps = args.frames / elapsed if elapsed > 0 else float("inf")
     us_per_px = elapsed / (args.frames * n_pixels) * 1e6
     return elapsed, fps, us_per_px
