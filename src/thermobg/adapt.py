@@ -8,11 +8,15 @@ density against the probability of observing the sample inside an optimal
 stored sample pool (exact-history mode) or from the matched component's
 cumulative distribution (memory-efficient mode, the default).
 
+The neighborhood half-width eps runs over the integers 1 .. top, where top is
+at least 1: ceil(EPSILON_MAX_SIGMAS sigma) of the matched component in
+memory-efficient mode, the ceiling of the pool's value range in exact mode.
+
 Every stage runs on all pixels of a grid at once: the ``*_rows`` functions
 take a MixtureState, a SamplePool or the matched components' parameters,
 with one sample per pixel, and contain no per-pixel Python loop.  The
-per-model functions (match_component, epsilon_star_exact, ..., adapt) and
-HistoryPool are the one-pixel case of the same code.
+per-model functions (match_component, epsilon_star_exact, ..., adapt) are
+the one-pixel case of the same code.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .core import _LOG_2PI, VARIANCE_FLOOR, MixtureModel, MixtureState
+from .core import VARIANCE_FLOOR, MixtureModel, MixtureState
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 MODE_EXACT = "exact-history"
 MODE_APPROX = "memory-efficient"
@@ -31,6 +37,9 @@ _MODE_ALIASES = {
     "exact": MODE_EXACT, "exact-history": MODE_EXACT,
     "approx": MODE_APPROX, "memory-efficient": MODE_APPROX,
 }
+
+# memory-efficient mode's eps grid ends at this many standard deviations
+EPSILON_MAX_SIGMAS = 6.0
 
 # epsilon grid points (plus stored samples, in exact-history mode) that one
 # vectorised pass holds; larger grids are split into row ranges.  Passes of
@@ -56,21 +65,16 @@ MAX_HISTORY_LEN = 1 << 25
 
 @dataclass
 class AdaptationConfig:
+    """Where the eps-neighborhood probability comes from: the stored samples
+    (MODE_EXACT, "exact") or the matched component's CDF (MODE_APPROX,
+    "approx", the default).  The eps grid itself is fixed."""
+
     mode: str = MODE_APPROX
-    epsilon_min: int = 1   # >= 1 keeps the spawned variance (4*eps^2 - 1)/12 positive
-    epsilon_max_sigmas: float = 6.0
-    epsilon_step: int = 1
 
     def __post_init__(self):
         if self.mode not in _MODE_ALIASES:
             raise ValueError(f"unknown adaptation mode {self.mode!r}")
         self.mode = _MODE_ALIASES[self.mode]
-        if self.epsilon_min < 1:
-            raise ValueError("epsilon_min must be at least 1")
-        if self.epsilon_step < 1:
-            raise ValueError("epsilon_step must be at least 1")
-        if not (self.epsilon_max_sigmas > 0.0):
-            raise ValueError("epsilon_max_sigmas must be positive")
 
 
 class SamplePool:
@@ -136,29 +140,6 @@ class SamplePool:
         self.pushed[rows] = other.pushed
 
 
-class HistoryPool:
-    """Sliding ring buffer of one pixel's last N samples: a one-row
-    SamplePool, ``rows``."""
-
-    def __init__(self, values=(), maxlen: int = 100):
-        column = np.array([float(v) for v in values]).reshape(-1, 1)
-        self.rows = SamplePool.from_history(column, maxlen)
-
-    def push(self, x: float) -> None:
-        self.rows.push(float(x))
-
-    @property
-    def values(self) -> list[float]:
-        return self.rows.values(0)
-
-    @property
-    def maxlen(self) -> int:
-        return self.rows.maxlen
-
-    def __len__(self) -> int:
-        return int(self.rows.count[0])
-
-
 @dataclass(frozen=True)
 class EpsilonResult:
     """Optimal neighborhood half-width and the probability there."""
@@ -186,7 +167,7 @@ def match_component(model: MixtureModel, x: float) -> tuple[int, float]:
 
 
 def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
-                            log_density=None
+                            log_density=-np.inf
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per pixel, maximize p(x; eps) = (N_eps / N) / (2 eps) over the
     integer eps grid, where N is the pixel's stored sample count and N_eps
@@ -202,9 +183,10 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
     [x - eps, x + eps] with unit bins, and on continuous data (no sample on
     a boundary) it is the plain count.
 
-    A pixel's grid runs from cfg.epsilon_min to the ceiling of its pool's
-    value range; the smallest eps wins ties.  An empty neighborhood
-    everywhere, or an empty pool, yields (epsilon_min, 0, -inf).
+    A pixel's grid runs from 1 to the ceiling of its pool's value range;
+    the smallest eps wins ties.  An empty neighborhood everywhere, or an
+    empty pool, yields (1, 0, -inf).  ``cfg`` is not read: the grid is
+    fixed.
 
     A window holds at most all N samples, so p(eps) <= 1 / (2 eps), and
     only a prefix of the grid is evaluated:
@@ -216,8 +198,8 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
       q (_capped_length) is evaluated.  Every result is the full grid's.
     - Given ``log_density``, the matched component's log density
       log f(x) per pixel, the grid also stops at the last eps whose bound
-      can reach f(x), and a pixel with no such eps gets
-      (epsilon_min, 0, -inf).  adapt_rows matches a pixel when
+      can reach f(x), and a pixel with no such eps gets (1, 0, -inf).  The
+      default -inf keeps the whole grid.  adapt_rows matches a pixel when
       log f(x) >= log p(eps*).  If the full grid's eps* lies beyond the
       cut, its p is at most f(x) and so is the prefix's best p: both
       grids match.  Otherwise the prefix holds the same first argmax.  So
@@ -225,7 +207,7 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
       eps*, p and log p.
     """
     x = np.asarray(x, dtype=np.float64)
-    eps = np.full(x.size, cfg.epsilon_min, dtype=np.int64)
+    eps = np.ones(x.size, dtype=np.int64)
     p = np.zeros(x.size)
     log_p = np.full(x.size, -np.inf)
     count = pool.count
@@ -240,18 +222,15 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
     else:
         v_max, v_min = samples.max(axis=1), samples.min(axis=1)
     n_eps = np.zeros(x.size, dtype=np.int64)
-    top = np.maximum(cfg.epsilon_min, np.ceil(v_max - v_min))
-    n_eps[filled] = ((top.astype(np.int64) - cfg.epsilon_min)
-                     // cfg.epsilon_step + 1)
-    if log_density is not None:
-        n_eps = _capped_length(n_eps, 0.0, log_density, cfg)
+    n_eps[filled] = np.maximum(1.0, np.ceil(v_max - v_min))
+    n_eps = _capped_length(n_eps, 0.0, log_density)
     long = np.flatnonzero(n_eps > pool.maxlen)
     if long.size:
         q = _window_lower_bound(samples[long], None if stored is None
                                 else stored[long], x[long], count[long],
-                                n_eps[long], cfg)
+                                n_eps[long])
         with np.errstate(divide="ignore"):
-            n_eps[long] = _capped_length(n_eps[long], 0.0, np.log(q), cfg)
+            n_eps[long] = _capped_length(n_eps[long], 0.0, np.log(q))
 
     rows = np.flatnonzero(n_eps > 0)
     for lo, hi in _row_chunks((n_eps + count)[rows], _CHUNK_POINTS):
@@ -260,18 +239,18 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
             r = slice(r[0], r[-1] + 1)  # a view of the pool, not a copy
         eps[r], p[r] = _exact_chunk(
             samples[r], None if stored is None else stored[r], x[r],
-            count[r], n_eps[r], cfg)
+            count[r], n_eps[r])
     found = p > 0.0
     log_p[found] = np.log(p[found])
     return eps, p, log_p
 
 
-def _window_lower_bound(samples, stored, x, count, n_eps, cfg):
+def _window_lower_bound(samples, stored, x, count, n_eps):
     """Per row, a lower bound q on the best p(x; eps) of its n_eps-point
     grid: the largest k / (2 N eps_k) over the k for which eps_k, the first
     grid eps at or above 1 + the k-th smallest |v - x|, is on the grid.
     The k nearest samples lie strictly inside that window (below 2**50,
-    rounding moves |v - x| and x +- eps by less than 1/2 together), so
+    rounding moves |v - x| and x +- eps by less than 1/2), so
     N_eps >= k there.  The computed p there, 0.5 * 2 N_eps over
     N * 2 eps, is then at least the computed q, which divides k by the
     same denominator.  0 where no k qualifies."""
@@ -279,16 +258,15 @@ def _window_lower_bound(samples, stored, x, count, n_eps, cfg):
     if stored is not None:
         dist[~stored] = np.inf
     dist.sort(axis=1)
-    steps = np.ceil(np.maximum(dist + 1.0 - cfg.epsilon_min, 0.0)
-                    / cfg.epsilon_step)
+    steps = np.ceil(dist)  # eps_k = 1 + steps
     on_grid = steps < n_eps[:, None]
-    eps_k = np.where(on_grid, cfg.epsilon_min + steps * cfg.epsilon_step, 1.0)
+    eps_k = np.where(on_grid, 1.0 + steps, 1.0)
     k = np.arange(1, samples.shape[1] + 1)
     q = k / (count[:, None] * 2.0 * eps_k)
     return np.where(on_grid, q, 0.0).max(axis=1)
 
 
-def _exact_chunk(samples, stored, x, count, n_eps, cfg):
+def _exact_chunk(samples, stored, x, count, n_eps):
     """epsilon_star_exact_rows on a range of rows with stored samples:
     (eps*, p) over their first n_eps grid points, from their (rows, N)
     samples; ``stored`` masks the stored ones of partly filled pools (None
@@ -310,10 +288,8 @@ def _exact_chunk(samples, stored, x, count, n_eps, cfg):
     integer and the second step lies one bin past the first, so one
     histogram H gives both: twice N_eps = H(<= 2 eps) + H(<= 2 eps - 1).
     """
-    e0, step = cfg.epsilon_min, cfg.epsilon_step
-    eps_top = e0 + (n_eps - 1) * step
     values = samples.reshape(-1) if stored is None else samples[stored]
-    bins = 2 * eps_top + 2  # z = 0 .. 2 eps_top, then an overflow bin
+    bins = 2 * n_eps + 2  # z = 0 .. 2 n_eps, then an overflow bin
     row_first = np.cumsum(bins) - bins
     xv = np.repeat(x, count)
     z_over = np.repeat(bins - 1, count).astype(np.float64)
@@ -334,7 +310,7 @@ def _exact_chunk(samples, stored, x, count, n_eps, cfg):
 
     near = np.empty(0, dtype=np.intp)
     if not integer:
-        mag = np.abs(samples).max(axis=1) + np.abs(x) + eps_top
+        mag = np.abs(samples).max(axis=1) + np.abs(x) + n_eps
         slack = np.repeat(mag * 2.0 ** -48, count)
         near = np.flatnonzero(~closed & (np.abs(t - np.rint(t)) <= slack))
     twice_less = 0
@@ -343,11 +319,11 @@ def _exact_chunk(samples, stored, x, count, n_eps, cfg):
             z[near] = z_over[near]
         v, xs = values[near], xv[near]
         limit = np.repeat(n_eps, count)[near]
-        up = (v - xs - e0) / step     # eps_j < v - x  <=>  j < up
-        down = (xs - v - e0) / step   # eps_j < x - v  <=>  j < down
+        up = v - xs - 1.0    # eps_j = 1 + j < v - x  <=>  j < up
+        down = xs - v - 1.0  # eps_j < x - v  <=>  j < down
 
         def grid_at(j):
-            return (e0 + j * step).astype(np.float64)
+            return (1 + j).astype(np.float64)
 
         # [v <= x + eps_j] holds from the first j with x + eps_j < v false
         # on, and so on for the other three brackets
@@ -370,30 +346,30 @@ def _exact_chunk(samples, stored, x, count, n_eps, cfg):
     before = running[row_first] - hist[row_first] + twice_less
     point_row = np.repeat(np.arange(n_eps.size), n_eps)
     starts = np.cumsum(n_eps) - n_eps
-    grid = e0 + (np.arange(point_row.size) - starts[point_row]) * step
+    grid = 1 + np.arange(point_row.size) - starts[point_row]
     at = row_first[point_row] + 2 * grid
     twice = running[at] - before[point_row]
     if integer:
         twice += running[at - 1] - before[point_row]
     p = 0.5 * twice / (count[point_row] * 2.0 * grid)
     best, p_best = _first_argmax(p, starts, point_row)
-    return np.where(p_best > 0.0, grid[best], e0), p_best
+    return np.where(p_best > 0.0, grid[best], 1), p_best
 
 
-def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
-    """epsilon_star_exact_rows for one pool, a HistoryPool or a sequence of
-    samples, which must not be empty."""
-    if not isinstance(pool, HistoryPool):
-        values = list(pool)
-        pool = HistoryPool(values, maxlen=max(1, len(values)))
-    if not len(pool):
+def epsilon_star_exact(samples, x: float,
+                       cfg: AdaptationConfig) -> EpsilonResult:
+    """epsilon_star_exact_rows for one pool, given as its nonempty sequence
+    of samples."""
+    history = np.asarray(samples, dtype=np.float64).reshape(-1, 1)
+    if history.size == 0:
         raise ValueError("exact-history pool is empty")
-    eps, p, log_p = epsilon_star_exact_rows(pool.rows, [float(x)], cfg)
+    pool = SamplePool.from_history(history, history.size)
+    eps, p, log_p = epsilon_star_exact_rows(pool, [float(x)], cfg)
     return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
 
 
 def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig,
-                             log_density=None
+                             log_density=-np.inf
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Memory-efficient neighborhood probability of each pixel's sample x
     via its matched component's (weight w, mean mu, variance var)
@@ -401,45 +377,41 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig,
 
         p~(x; eps) = w * (G(x + eps) - G(x - eps)) / (2 eps)
 
-    maximized over the integer grid up to ceil(epsilon_max_sigmas * sigma).
-    Returns the arrays (eps*, p, log p).  Computed in the log domain so
-    far-tail samples keep a meaningful value instead of underflowing to
-    zero.
+    maximized over the integer grid 1 .. max(1, ceil(EPSILON_MAX_SIGMAS *
+    sigma)).  Returns the arrays (eps*, p, log p); ``cfg`` is not read.
+    Computed in the log domain so far-tail samples keep a meaningful value
+    instead of underflowing to zero.
 
     The window's mass is at most 1, so p~(eps) <= w / (2 eps).  Given
     ``log_density``, the matched component's log density log f(x) per
     pixel, the grid stops at the last eps whose bound can reach f(x)
-    (_capped_length), and a pixel with no such eps gets
-    (epsilon_min, 0, -inf).  As in epsilon_star_exact_rows, the matched
-    flags log f(x) >= log p(eps*) are then the full grid's, and on every
-    miss so are eps*, p and log p.
+    (_capped_length), and a pixel with no such eps gets (1, 0, -inf); the
+    default -inf keeps the whole grid.  As in epsilon_star_exact_rows, the
+    matched flags log f(x) >= log p(eps*) are then the full grid's, and on
+    every miss so are eps*, p and log p.
     """
     w, mu, var, x = (np.asarray(a, dtype=np.float64) for a in (w, mu, var, x))
     sigma = np.sqrt(var)
-    top = np.maximum(cfg.epsilon_min,
-                     np.ceil(cfg.epsilon_max_sigmas * sigma)).astype(np.int64)
-    n_eps = (top - cfg.epsilon_min) // cfg.epsilon_step + 1
+    n_eps = np.maximum(1.0, np.ceil(EPSILON_MAX_SIGMAS * sigma))
     with np.errstate(divide="ignore"):
         log_w = np.where(w > 0.0, np.log(w), -np.inf)
-    if log_density is not None:
-        n_eps = _capped_length(n_eps, log_w, log_density, cfg)
-    eps = np.full(x.size, cfg.epsilon_min, dtype=np.int64)
+    n_eps = _capped_length(n_eps, log_w, log_density)
+    eps = np.ones(x.size, dtype=np.int64)
     log_p = np.full(x.size, -np.inf)
     live = np.flatnonzero(n_eps > 0)
     for lo, hi in _row_chunks(n_eps[live], _CHUNK_POINTS):
         rows = live[lo:hi]
         eps[rows], log_p[rows] = _approx_chunk(
-            log_w[rows], mu[rows], sigma[rows], x[rows], n_eps[rows], cfg)
+            log_w[rows], mu[rows], sigma[rows], x[rows], n_eps[rows])
     p = np.where(log_p > -745.0, np.exp(log_p), 0.0)
     return eps, p, log_p
 
 
-def _approx_chunk(log_w, mu, sigma, x, n_eps, cfg):
+def _approx_chunk(log_w, mu, sigma, x, n_eps):
     """epsilon_star_approx_rows on a range of rows: (eps*, log p)."""
     starts = np.cumsum(n_eps) - n_eps
     row = np.repeat(np.arange(n_eps.size), n_eps)
-    grid = (cfg.epsilon_min + (np.arange(row.size) - starts[row])
-            * cfg.epsilon_step).astype(np.float64)
+    grid = (1 + np.arange(row.size) - starts[row]).astype(np.float64)
     xr, mur, sr = x[row], mu[row], sigma[row]
     za = (xr - grid - mur) / sr
     zb = (xr + grid - mur) / sr
@@ -453,8 +425,7 @@ def _approx_chunk(log_w, mu, sigma, x, n_eps, cfg):
 
     best, lp = _first_argmax(log_p, starts, row)
     found = lp > -np.inf
-    return (np.where(found, grid[best], cfg.epsilon_min).astype(np.int64),
-            lp)
+    return np.where(found, grid[best], 1).astype(np.int64), lp
 
 
 def epsilon_star_approx(model: MixtureModel, c: int, x: float,
@@ -648,30 +619,20 @@ def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
 
 
 def adapt(model: MixtureModel, x: float, cfg: AdaptationConfig,
-          pool: HistoryPool | None = None) -> tuple[MixtureModel, bool]:
+          pool: SamplePool | None = None) -> tuple[MixtureModel, bool]:
     """adapt_rows for one model and a finite sample x; exact-history mode
-    reads and feeds ``pool``.  Like adapt_rows it evaluates only the eps
-    that can make the sample a miss, and returns the full grid's model and
-    matched flag."""
+    reads and feeds ``pool``, a one-pixel SamplePool.  Like adapt_rows it
+    evaluates only the eps that can make the sample a miss, and returns the
+    full grid's model and matched flag."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"sample must be finite, got {x}")
     if cfg.mode == MODE_EXACT and pool is None:
-        raise ValueError("exact-history mode requires a HistoryPool")
+        raise ValueError("exact-history mode requires a sample pool")
     state = MixtureState.from_models([model])
     matched = adapt_rows(state, [x], cfg,
-                         pool.rows if cfg.mode == MODE_EXACT else None)
+                         pool if cfg.mode == MODE_EXACT else None)
     return state.model(0), bool(matched[0])
-
-
-def weight_after_matches(w0: float, n: int, t: int) -> float:
-    """Closed form of t iterations of the matched-weight update."""
-    return 1.0 - (1.0 - w0) * (1.0 - 1.0 / n) ** t
-
-
-def weight_after_misses(w0: float, n: int, t: int) -> float:
-    """Closed form of t iterations of the unmatched-weight decay."""
-    return w0 * (1.0 - 1.0 / n) ** t
 
 
 def _row_chunks(cost, limit: int):
@@ -687,11 +648,12 @@ def _row_chunks(cost, limit: int):
         lo = hi
 
 
-def _capped_length(n_eps, log_mass, log_ref, cfg: AdaptationConfig):
+def _capped_length(n_eps, log_mass, log_ref):
     """Per row, how many leading points of an n_eps-point eps grid can have
     a neighborhood probability of at least r = exp(log_ref) when no window
     holds more than m = exp(log_mass): m / (2 eps) >= r needs
-    eps <= exp(b) / 2 with b = log m - log r.  A row with none gets 0.
+    eps <= exp(b) / 2 with b = log m - log r, which on the grid 1, 2, ...
+    holds for the first floor(exp(b) / 2) points.  A row with none gets 0.
 
     Rounding.  Each quantity below is computed within a relative error of
     a few units of 2**-53: the exactly rounded additions, multiplications
@@ -718,8 +680,7 @@ def _capped_length(n_eps, log_mass, log_ref, cfg: AdaptationConfig):
         margin = _CEILING_MARGIN * (1.0 + np.abs(log_mass) + np.abs(log_ref))
         bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
     half = 0.5 * np.exp(bound)
-    length = (np.floor(half) - cfg.epsilon_min) // cfg.epsilon_step + 1
-    return np.clip(length, 0, n_eps).astype(np.int64)
+    return np.clip(np.floor(half), 0, n_eps).astype(np.int64)
 
 
 def _prefix_length(holds, guess, limit):

@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, frameio
-from .adapt import MODE_EXACT, AdaptationConfig, HistoryPool, SamplePool
+from .adapt import MODE_EXACT, AdaptationConfig, SamplePool, adapt_rows
 from .core import MixtureModel, MixtureState, mixture_density
 from .engine import (ModelFormatError, PixelGrid, initialize_grid, load_grid,
                      process_frame, save_grid)
@@ -314,21 +314,20 @@ def cmd_synth_update_demo(args) -> int:
     initial_specs, novel = adaptation_demo_specs()
     data = gen_mixture_samples(initial_specs, args.seed)
     cfg = FitConfig(k_max=10, history_len=data.size, rng_seed=args.seed)
-    model = fit(data, cfg).model
+    state = MixtureState.from_models([fit(data, cfg).model])
 
     adapt_cfg = AdaptationConfig(mode=args.mode)
-    pool = HistoryPool(data, maxlen=data.size) \
+    pool = SamplePool.from_history(data[:, None], data.size) \
         if adapt_cfg.mode == MODE_EXACT else None
     novel_samples = gen_mixture_samples(
         [GaussianSpec(novel.mean, novel.stddev, 50)], args.seed + 1)
 
-    from .adapt import adapt as adapt_op
-    stages = [("t0", model.copy())]
+    stages = [("t0", state.model(0))]
     for i, x in enumerate(novel_samples, start=1):
-        model, _ = adapt_op(model, float(x), adapt_cfg, pool)
+        adapt_rows(state, [x], adapt_cfg, pool)
         if i == 25:
-            stages.append(("t25", model.copy()))
-    stages.append(("t50", model.copy()))
+            stages.append(("t25", state.model(0)))
+    stages.append(("t50", state.model(0)))
 
     _write_components_csv(
         os.path.join(args.outdir, "update_demo_components.csv"), stages)
@@ -389,12 +388,13 @@ def _bench_one(width, height, args):
                      state=MixtureState.from_models([model] * n_pixels),
                      fit_config=FitConfig(), adapt_config=adapt_cfg,
                      seg_config=SegmentationConfig())
+    # integer levels, as 8- and 16-bit frames deliver them
     if adapt_cfg.mode == MODE_EXACT:
         rng = np.random.default_rng(args.seed)
         grid.pool = SamplePool.from_history(
-            rng.normal(16.0, 1.5, (n_pixels, 100)).T, maxlen=100)
+            np.rint(rng.normal(16.0, 1.5, (n_pixels, 100))).T, maxlen=100)
     rng = np.random.default_rng(args.seed)
-    frames = rng.normal(16.0, 1.5, (args.frames, height, width))
+    frames = np.rint(rng.normal(16.0, 1.5, (args.frames, height, width)))
     t0 = time.perf_counter()
     for i in range(args.frames):
         process_frame(grid, frames[i])

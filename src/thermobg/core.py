@@ -9,43 +9,14 @@ pixels at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma as _scipy_digamma
-from scipy.special import erfc
 
 # Smallest variance a component may carry (intensity^2 units).  A component
 # trained on identical samples would otherwise collapse to a spike.
 VARIANCE_FLOOR = 1e-4
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-def gaussian_pdf(x, mu, var):
-    """Density of N(mu, var) at x.  var must be strictly positive."""
-    _check_var(var)
-    x = np.asarray(x, dtype=np.float64)
-    out = np.exp(-0.5 * (x - mu) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
-    return float(out) if out.ndim == 0 else out
-
-
-def log_gaussian_pdf(x, mu, var):
-    """log N(x | mu, var); survives far tails where the density underflows."""
-    _check_var(var)
-    x = np.asarray(x, dtype=np.float64)
-    out = -0.5 * (_LOG_2PI + np.log(var)) - 0.5 * (x - mu) ** 2 / var
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_cdf(x, mu, var):
-    """Cumulative distribution of N(mu, var) at x, via the complementary
-    error function (absolute error below 1e-12 everywhere)."""
-    _check_var(var)
-    x = np.asarray(x, dtype=np.float64)
-    z = (mu - x) / np.sqrt(2.0 * var)
-    out = 0.5 * erfc(z)
-    return float(out) if out.ndim == 0 else out
 
 
 def digamma(a):
@@ -72,7 +43,6 @@ class MixtureModel:
     variances: list[float]
     history_len: int
     intensity_levels: int = 256
-    unconverged: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.weights) == len(self.means) == len(self.variances)):
@@ -93,20 +63,19 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MixtureModel":
-        return MixtureModel(list(self.weights), list(self.means),
-                            list(self.variances), self.history_len,
-                            self.intensity_levels, self.unconverged)
-
     def check(self, tol: float = 1e-9) -> None:
-        """Assert the maintenance invariants: weights sum to 1 and every
-        surviving weight is at least 1/N."""
+        """Assert the maintenance invariants: weights sum to 1, every
+        surviving weight is at least 1/N and every variance is at least
+        VARIANCE_FLOOR."""
         s = math.fsum(self.weights)
         if abs(s - 1.0) > tol:
             raise AssertionError(f"weights sum to {s}, expected 1")
         lo = 1.0 / self.history_len
         if any(w < lo - tol for w in self.weights):
             raise AssertionError("component below the 1/N weight floor survived")
+        if any(v < VARIANCE_FLOOR for v in self.variances):
+            raise AssertionError(
+                f"variance below the floor {VARIANCE_FLOOR} survived")
 
 
 @dataclass
@@ -202,23 +171,3 @@ def mixture_density(model: MixtureModel, x):
     for w, mu, var in zip(model.weights, model.means, model.variances):
         out = out + w * np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out
-
-
-def log_mixture_density(model: MixtureModel, x):
-    """log p(x | background) via log-sum-exp; usable deep in 16-bit tails."""
-    x = np.asarray(x, dtype=np.float64)
-    logs = np.stack([
-        math.log(w) + log_gaussian_pdf(x, mu, var) if w > 0.0
-        else np.full(x.shape, -np.inf)
-        for w, mu, var in zip(model.weights, model.means, model.variances)
-    ])
-    top = np.max(logs, axis=0)
-    with np.errstate(invalid="ignore"):
-        out = top + np.log(np.sum(np.exp(logs - top), axis=0))
-    out = np.where(np.isneginf(top), -np.inf, out)
-    return float(out) if out.ndim == 0 else out
-
-
-def _check_var(var) -> None:
-    if np.any(np.asarray(var) <= 0.0):
-        raise ValueError("variance must be strictly positive")

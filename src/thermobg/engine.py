@@ -60,9 +60,6 @@ class PixelGrid:
     def intensity_levels(self) -> int:
         return self.state.intensity_levels
 
-    def model_at(self, x: int, y: int) -> MixtureModel:
-        return self.state.model(y * self.width + x)
-
     def component_histogram(self) -> dict[int, int]:
         ks, counts = np.unique(self.state.k, return_counts=True)
         return {int(k): int(c) for k, c in zip(ks, counts)}

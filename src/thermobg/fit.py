@@ -27,7 +27,8 @@ pixel keeps its own schedule.  Three choices carry its speed:
   model does not depend on which pixels share its block.
 
 ``fit``, ``e_step``, ``m_step``, ``elbo``, ``kmeanspp_init`` and
-``VariationalPosterior.drop`` are the one-pixel case of the same code.
+``VariationalPosterior.drop`` are the one-pixel case of the same code;
+``m_step`` and ``elbo`` take the priors ``priors_rows`` gives for one row.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ _TRIAL_ITERS = 12
 _TRIAL_CANDIDATES = 3
 _ACCEPT_MARGIN = 1e-6
 
+# An EM segment converges once no posterior mean or expected mixing weight
+# changes by this much, relative to its value, in one iteration.
+REL_TOL = 1e-5
+
 # Largest (levels x components x pixels) temporary of one pass, in
 # elements, and the pixels fitted together, which bounds the
 # (components x pixels) state.
@@ -74,7 +79,6 @@ class Priors:
     beta0: float
     a0: float
     b0: float
-    degenerate: bool = False  # set when the training data had zero variance
 
     def __post_init__(self):
         for name in ("lambda0", "beta0", "a0", "b0"):
@@ -84,16 +88,14 @@ class Priors:
     def take(self, rows) -> "Priors":
         """The priors of the given pixels, for per-pixel m0 and beta0."""
         return dataclasses.replace(self, m0=self.m0[rows],
-                                   beta0=self.beta0[rows],
-                                   degenerate=self.degenerate[rows])
+                                   beta0=self.beta0[rows])
 
 
 @dataclass
 class FitConfig:
     k_max: int = 50
     history_len: int = 100
-    max_iters: int = 100
-    rel_tol: float = 1e-5
+    max_iters: int = 100  # iterations of the final EM segment, at most
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -101,8 +103,6 @@ class FitConfig:
             raise ValueError("k_max, history_len and max_iters must be positive")
         if self.k_max > self.history_len:
             raise ValueError("k_max must not exceed history_len")
-        if not (self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive")
 
 
 @dataclass
@@ -173,33 +173,21 @@ class FitRows:
     death_accepts: np.ndarray  # (P,) trial removals accepted
 
 
-def default_priors(data) -> Priors:
-    """Uninformative priors derived from the sample statistics.
+def priors_rows(samples) -> Priors:
+    """Uninformative priors derived from the sample statistics of each row
+    of a (P, N) array, as per-pixel fields.
 
     lambda0 = 1 keeps the Dirichlet flat; a0 = b0 = 1e-3 lets the data
     dominate the Gamma posterior; m0 is the sample mean and beta0 = b0/(a0*v0)
-    with v0 the sample variance.
+    with v0 the sample variance, or VARIANCE_FLOOR for constant data.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("default_priors requires nonempty data")
-    rows = priors_rows(data.reshape(1, -1))
-    return dataclasses.replace(rows, m0=float(rows.m0[0]),
-                               beta0=float(rows.beta0[0]),
-                               degenerate=bool(rows.degenerate[0]))
-
-
-def priors_rows(samples) -> Priors:
-    """default_priors of each row of a (P, N) array, as per-pixel fields."""
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     m0 = samples.mean(axis=1)
     v0 = samples.var(axis=1)
-    degenerate = v0 <= 0.0
-    v0 = np.where(degenerate, VARIANCE_FLOOR, v0)
+    v0 = np.where(v0 <= 0.0, VARIANCE_FLOOR, v0)
     a0 = 1e-3
     b0 = 1e-3
-    return Priors(lambda0=1.0, m0=m0, beta0=b0 / (a0 * v0), a0=a0, b0=b0,
-                  degenerate=degenerate)
+    return Priors(lambda0=1.0, m0=m0, beta0=b0 / (a0 * v0), a0=a0, b0=b0)
 
 
 @dataclass
@@ -383,7 +371,7 @@ def fit(data, cfg: FitConfig, intensity_levels: int = 256) -> FitResult:
 
     Pipeline: k-means++ partition -> EM shaping -> bound-guided component
     removal -> final EM until the relative change of every posterior mean and
-    expected mixing weight drops below cfg.rel_tol -> prune mixing
+    expected mixing weight drops below REL_TOL -> prune mixing
     coefficients below 1/N -> export point estimates.  Deterministic for
     fixed (data, cfg), and the one-pixel case of fit_rows.
     """
@@ -393,10 +381,8 @@ def fit(data, cfg: FitConfig, intensity_levels: int = 256) -> FitResult:
                          f"samples, got {data.size}")
     block = _BlockFit(data[None, :], cfg, [cfg.rng_seed])
     block.run()
-    model = block.state(intensity_levels).model(0)
-    converged = bool(block.converged[0])
-    model.unconverged = not converged
-    return FitResult(model=model, converged=converged,
+    return FitResult(model=block.state(intensity_levels).model(0),
+                     converged=bool(block.converged[0]),
                      n_iters=int(block.final_iters[0]),
                      total_iters=int(block.path_iters[0]),
                      elbo_segments=[[v] for v in block.segment_bounds(0)],
@@ -678,7 +664,7 @@ class _BlockFit:
         self.prev_w[:n_comp, rows] = w
         self.it[rows] += 1
         self.em_iters[rows] += 1
-        converged = delta < self.cfg.rel_tol
+        converged = delta < REL_TOL
         end = converged | (self.it[rows] >= self.cap[rows])
         if not end.any():
             return rows[end], converged[end], np.zeros(0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import MixtureModel, MixtureState
+from .core import MixtureState
 
 BACKGROUND = 0
 FOREGROUND = 1
@@ -62,9 +62,6 @@ class MaskFrame:
             if self.posterior.shape != (self.height, self.width):
                 raise ValueError("posterior array does not match the declared size")
 
-    def foreground_count(self) -> int:
-        return int(self.labels.sum())
-
 
 def posterior_bg_rows(state: MixtureState, x: np.ndarray,
                       cfg: SegmentationConfig) -> np.ndarray:
@@ -85,13 +82,6 @@ def posterior_bg_rows(state: MixtureState, x: np.ndarray,
         d += col
     p = cfg.p_bg * d / (d + 1.0 / state.intensity_levels)
     return np.clip(p, 0.0, 1.0)
-
-
-def posterior_bg(model: MixtureModel, x: float, cfg: SegmentationConfig) -> float:
-    """Background posterior for one sample, in [0, 1]: the one-pixel case of
-    posterior_bg_rows."""
-    state = MixtureState.from_models([model])
-    return float(posterior_bg_rows(state, [x], cfg)[0])
 
 
 def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:

@@ -17,6 +17,9 @@ from thermobg.core import VARIANCE_FLOOR, MixtureModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# the eps grid, which AdaptationConfig set before it was fixed
+EPSILON_MIN, EPSILON_STEP, EPSILON_MAX_SIGMAS = 1, 1, 6.0
+
 
 def _pdf_scalar(x: float, mu: float, var: float) -> float:
     return math.exp(-0.5 * (x - mu) * (x - mu) / var) / math.sqrt(2.0 * math.pi * var)
@@ -98,17 +101,17 @@ def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
     with unit bins, and on continuous data (no sample on a boundary) it is
     the plain count.
 
-    The grid runs from cfg.epsilon_min to the ceiling of the pool's value
+    The grid runs from EPSILON_MIN to the ceiling of the pool's value
     range; the smallest eps wins ties.  An empty neighborhood everywhere
-    yields (epsilon_min, 0).
+    yields (EPSILON_MIN, 0).
     """
     values = pool.values if isinstance(pool, HistoryPool) else list(pool)
     if not values:
         raise ValueError("exact-history pool is empty")
     arr = np.sort(np.asarray(values, dtype=np.float64))
     n = arr.size
-    top = max(cfg.epsilon_min, math.ceil(float(arr[-1] - arr[0])))
-    grid = np.arange(cfg.epsilon_min, top + 1, cfg.epsilon_step)
+    top = max(EPSILON_MIN, math.ceil(float(arr[-1] - arr[0])))
+    grid = np.arange(EPSILON_MIN, top + 1, EPSILON_STEP)
     closed = (np.searchsorted(arr, x + grid, side="right")
               - np.searchsorted(arr, x - grid, side="left"))
     inside = (np.searchsorted(arr, x + grid, side="left")
@@ -117,7 +120,7 @@ def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
     p = counts / (n * 2.0 * grid)
     best = int(np.argmax(p))  # first maximum = smallest eps
     if p[best] <= 0.0:
-        return EpsilonResult(int(cfg.epsilon_min), 0.0, -math.inf)
+        return EpsilonResult(int(EPSILON_MIN), 0.0, -math.inf)
     return EpsilonResult(int(grid[best]), float(p[best]), math.log(p[best]))
 
 
@@ -128,15 +131,15 @@ def epsilon_star_approx(model: MixtureModel, c: int, x: float,
 
         p~(x; eps) = w_c * (G_c(x + eps) - G_c(x - eps)) / (2 eps)
 
-    maximized over the integer grid up to ceil(epsilon_max_sigmas * sigma_c).
+    maximized over the integer grid up to ceil(EPSILON_MAX_SIGMAS * sigma_c).
     Computed in the log domain so far-tail samples keep a meaningful value
     instead of underflowing to zero.
     """
     w = model.weights[c]
     mu = model.means[c]
     sigma = math.sqrt(model.variances[c])
-    top = max(cfg.epsilon_min, math.ceil(cfg.epsilon_max_sigmas * sigma))
-    grid = np.arange(cfg.epsilon_min, top + 1, cfg.epsilon_step, dtype=np.float64)
+    top = max(EPSILON_MIN, math.ceil(EPSILON_MAX_SIGMAS * sigma))
+    grid = np.arange(EPSILON_MIN, top + 1, EPSILON_STEP, dtype=np.float64)
 
     za = (x - grid - mu) / sigma
     zb = (x + grid - mu) / sigma
@@ -153,7 +156,7 @@ def epsilon_star_approx(model: MixtureModel, c: int, x: float,
     best = int(np.argmax(log_p))
     lp = float(log_p[best])
     if lp == -math.inf:
-        return EpsilonResult(int(cfg.epsilon_min), 0.0, -math.inf)
+        return EpsilonResult(int(EPSILON_MIN), 0.0, -math.inf)
     return EpsilonResult(int(grid[best]), float(math.exp(lp)) if lp > -745.0 else 0.0, lp)
 
 
@@ -225,7 +228,7 @@ def adapt(model: MixtureModel, x: float, cfg: AdaptationConfig,
         if pool is None:
             raise ValueError("exact-history mode requires a HistoryPool")
         eps = (epsilon_star_exact(pool, x, cfg) if len(pool)
-               else EpsilonResult(cfg.epsilon_min, 0.0, -math.inf))
+               else EpsilonResult(EPSILON_MIN, 0.0, -math.inf))
     else:
         eps = epsilon_star_approx(model, c, x, cfg)
 

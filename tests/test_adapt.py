@@ -3,19 +3,40 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import binom, norm
 
-from thermobg.adapt import (AdaptationConfig, HistoryPool, adapt, decide,
-                            epsilon_star_approx, epsilon_star_exact,
-                            match_component, spawn_component, update_matched,
-                            weight_after_matches, weight_after_misses)
-from thermobg.core import MixtureModel, gaussian_cdf, gaussian_pdf
+from thermobg.adapt import (EPSILON_MAX_SIGMAS, AdaptationConfig, SamplePool,
+                            adapt, decide, epsilon_star_approx,
+                            epsilon_star_exact, match_component,
+                            spawn_component, update_matched)
+from thermobg.core import MixtureModel
 
 PHI_HALF_MASS = 0.1914624612740131  # (2 Phi(0.5) - 1) / 2, mpmath
 
 
 def model(weights, means, variances, n=100, levels=256):
     return MixtureModel(list(weights), list(means), list(variances), n, levels)
+
+
+def pool_of(values, maxlen):
+    """A one-pixel pool holding the last maxlen of values, oldest first."""
+    return SamplePool.from_history(np.asarray(values, dtype=float)[:, None],
+                                   maxlen)
+
+
+def gaussian_cdf(x, mu, var):
+    return ndtr((x - mu) / math.sqrt(var))
+
+
+def weight_after_matches(w0, n, t):
+    """Closed form of t iterations of the matched-weight update."""
+    return 1.0 - (1.0 - w0) * (1.0 - 1.0 / n) ** t
+
+
+def weight_after_misses(w0, n, t):
+    """Closed form of t iterations of the unmatched-weight decay."""
+    return w0 * (1.0 - 1.0 / n) ** t
 
 
 def prune_time(w0, n):
@@ -37,10 +58,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaptationConfig(mode="bogus")
-        with pytest.raises(ValueError):
-            AdaptationConfig(epsilon_min=0)
-        with pytest.raises(ValueError):
-            AdaptationConfig(epsilon_step=0)
 
 
 class TestMatch:
@@ -68,14 +85,12 @@ class TestMatch:
 
 class TestEpsilonExact:
     def test_identical_pool_picks_smallest_eps(self):
-        pool = HistoryPool([42.0] * 100, maxlen=100)
-        r = epsilon_star_exact(pool, 42.0, AdaptationConfig())
+        r = epsilon_star_exact([42.0] * 100, 42.0, AdaptationConfig())
         assert r.epsilon == 1
         assert r.p == pytest.approx(0.5)  # (100/100) / (2*1)
 
     def test_empty_neighborhood(self):
-        pool = HistoryPool([10.0] * 50, maxlen=50)
-        r = epsilon_star_exact(pool, 500.0, AdaptationConfig())
+        r = epsilon_star_exact([10.0] * 50, 500.0, AdaptationConfig())
         assert (r.epsilon, r.p) == (1, 0.0)
         assert r.log_p == -math.inf
 
@@ -89,8 +104,7 @@ class TestEpsilonExact:
         cases += [(np.rint(rng.normal(50.0, 2.0, 100)),
                    float(rng.integers(44, 57))) for _ in range(30)]
         for values, x in cases:
-            pool = HistoryPool(values, maxlen=100)
-            got = epsilon_star_exact(pool, x, cfg)
+            got = epsilon_star_exact(values, x, cfg)
 
             top = max(1, math.ceil(values.max() - values.min()))
             best = None
@@ -105,7 +119,7 @@ class TestEpsilonExact:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            epsilon_star_exact(HistoryPool(maxlen=10), 1.0, AdaptationConfig())
+            epsilon_star_exact([], 1.0, AdaptationConfig())
 
 
 class TestEpsilonApprox:
@@ -130,7 +144,7 @@ class TestEpsilonApprox:
             x = 100.0 + offset * sigma
             got = epsilon_star_approx(m, 0, x, cfg)
 
-            top = max(1, math.ceil(cfg.epsilon_max_sigmas * sigma))
+            top = max(1, math.ceil(EPSILON_MAX_SIGMAS * sigma))
             best = None
             for eps in range(1, top + 1):
                 mass = gaussian_cdf(x + eps, 100.0, var) \
@@ -172,9 +186,8 @@ class TestDecide:
 
     def test_exact_pool_mass_beats_underflowed_density(self):
         cfg = AdaptationConfig(mode="exact")
-        pool = HistoryPool([200.0] * 100, maxlen=100)
         m = model([1.0], [0.0], [0.01])
-        r = epsilon_star_exact(pool, 200.0, cfg)
+        r = epsilon_star_exact([200.0] * 100, 200.0, cfg)
         assert r.p > 0.0
         assert not decide(m, 0, 200.0, r.p, r.log_p)
 
@@ -293,16 +306,16 @@ class TestAdapt:
         # frames feed it: the rounded 100-quantiles of N(16, 1.5^2)
         cfg = AdaptationConfig(mode="exact")
         quantiles = norm.ppf((np.arange(100) + 0.5) / 100, 16.0, 1.5)
-        pool = HistoryPool(np.rint(quantiles), maxlen=100)
+        pool = pool_of(np.rint(quantiles), 100)
         m = model([1.0], [16.0], [2.25], n=100)
         _, matched = adapt(m, 16.0, cfg, pool)
         assert matched
-        assert len(pool) == 100  # ring buffer stays at capacity
-        assert pool.values[-1] == 16.0
+        assert pool.count[0] == 100  # ring buffer stays at capacity
+        assert pool.values(0)[-1] == 16.0
         # the pool drives the decision: piled on 16 it gives the eps=1 window
         # p = 0.5 > N(16 | 16, 2.25) = 0.266 and spawns, while memory-efficient
         # mode matches the same sample
-        piled = HistoryPool(np.full(100, 16.0), maxlen=100)
+        piled = pool_of(np.full(100, 16.0), 100)
         assert not adapt(m, 16.0, cfg, piled)[1]
         assert adapt(m, 16.0, AdaptationConfig())[1]
 
@@ -311,10 +324,10 @@ class TestAdapt:
         m = model([1.0], [16.0], [2.25])
         with pytest.raises(ValueError, match="finite"):
             adapt(m, bad, AdaptationConfig())
-        pool = HistoryPool([16.0] * 10, maxlen=10)
+        pool = pool_of([16.0] * 10, 10)
         with pytest.raises(ValueError, match="finite"):
             adapt(m, bad, AdaptationConfig(mode="exact"), pool)
-        assert pool.values == [16.0] * 10
+        assert pool.values(0) == [16.0] * 10
 
     def test_exact_mode_requires_pool(self):
         with pytest.raises(ValueError):
@@ -375,13 +388,12 @@ class TestAdapt:
             var = sigma * sigma
             m = model([1.0], [mu], [var], n=n)
             values = rng.normal(mu, sigma, n)
-            pool = HistoryPool(values, maxlen=n)
             x = float(mu + rng.uniform(-3.0, 3.0) * sigma)
-            pe = epsilon_star_exact(pool, x, cfg)
+            pe = epsilon_star_exact(values, x, cfg)
             pa = epsilon_star_approx(m, 0, x, cfg)
 
             n_eps = max(math.ceil(values.max() - values.min()),
-                        math.ceil(cfg.epsilon_max_sigmas * sigma))
+                        math.ceil(EPSILON_MAX_SIGMAS * sigma))
             confidence = 1.0 - alpha / (trials * n_eps)
 
             def spread(eps):
@@ -406,20 +418,29 @@ class TestAdapt:
 
 class TestWeightClosedForms:
     def test_matches_and_misses(self):
+        # update_matched grows the matched weight and decays the other one
+        # as the closed forms say (0.8 (1 - 1/N)^200 stays above 1/N)
         n = 100
-        w = 0.2
+        m = model([0.2, 0.8], [10.0, 240.0], [1.0, 1.0], n=n)
         for t in range(1, 201):
-            w = w + (1.0 - w) / n
-            assert abs(w - weight_after_matches(0.2, n, t)) < 1e-12
-        w = 0.9
-        for t in range(1, 201):
-            w = w + (0.0 - w) / n
-            assert abs(w - weight_after_misses(0.9, n, t)) < 1e-12
+            m = update_matched(m, 0, 10.0)
+            assert abs(m.weights[0] - weight_after_matches(0.2, n, t)) < 1e-12
+            assert abs(m.weights[1] - weight_after_misses(0.8, n, t)) < 1e-12
 
 
-class TestHistoryPool:
+class TestSamplePool:
     def test_sliding_window(self):
-        pool = HistoryPool([1.0, 2.0, 3.0], maxlen=3)
-        pool.push(4.0)
-        assert pool.values == [2.0, 3.0, 4.0]
-        assert len(pool) == 3
+        # values() lists each pixel's samples oldest first, also once the
+        # ring has wrapped and in a partly filled pool
+        pool = SamplePool.from_history([[1.0, 10.0], [2.0, 20.0]], maxlen=3)
+        pool.push([3.0, 30.0])
+        assert pool.values(0) == [1.0, 2.0, 3.0]
+        for x in (4.0, 5.0, 6.0, 7.0):
+            pool.push([x, 10.0 * x])
+            assert pool.values(0) == [x - 2.0, x - 1.0, x]
+            assert pool.values(1) == [10.0 * (x - 2.0), 10.0 * (x - 1.0), 10.0 * x]
+        assert pool.count.tolist() == [3, 3]
+        part = SamplePool.from_history([[1.0], [2.0]], maxlen=5)
+        part.push([3.0])
+        assert part.values(0) == [1.0, 2.0, 3.0]
+        assert part.count.tolist() == [3]

@@ -1,14 +1,20 @@
 import csv
+import functools
 import json
 import shutil
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 
-from thermobg.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from thermobg import cli
+from thermobg.adapt import AdaptationConfig
+from thermobg.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from thermobg.engine import load_grid
 from thermobg.fit import FitConfig, fit
 from thermobg.frameio import read_mask, read_pgm_sequence, write_pgm
+from thermobg.synth import (GaussianSpec, adaptation_demo_specs,
+                            gen_mixture_samples)
 
 HISTORY = 12
 
@@ -75,6 +81,31 @@ class TestFit:
         argv[argv.index("--workers") + 1] = "2"
         assert main(argv) == EXIT_OK
         assert one.read_bytes() == two.read_bytes()
+
+    def test_strict_exits_3_when_a_pixel_is_unconverged(self, tmp_path,
+                                                        monkeypatch):
+        # three overlapping modes per pixel: their death moves end at the
+        # iteration cap, and one final EM iteration does not settle them
+        rng = np.random.default_rng(0)
+        n = 120
+        video = tmp_path / "video"
+        video.mkdir()
+        frames = np.rint(rng.normal(100.0, 2.0, (n, 2, 3)))
+        frames[1::3] += 6.0
+        frames[2::3] += 12.0
+        for t in range(n):
+            write_pgm(frames[t].astype(np.uint8), video / f"frame_{t:04d}.pgm")
+        argv = fit_argv(video, tmp_path / "m.vimm", "--strict")
+        argv[argv.index("--history") + 1] = str(n)
+        argv[argv.index("--kmax") + 1] = "10"
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(cli, "FitConfig",
+                            functools.partial(FitConfig, max_iters=1))
+        assert main(argv) == EXIT_NUMERICAL
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"]["unconverged_pixels"] > 0
+        argv.remove("--strict")
+        assert main(argv) == EXIT_OK
 
     def test_unknown_flag_is_a_usage_error(self, tmp_path):
         video = write_video(tmp_path / "video", HISTORY)
@@ -200,3 +231,86 @@ class TestEval:
         assert [(rows[n]["tp"], rows[n]["fp"], rows[n]["tn"], rows[n]["fn"])
                 for n in ("a.pgm", "b.pgm")] == [("2", "1", "1", "1"),
                                                  ("0", "0", "5", "1")]
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestSynth:
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_update_demo_streams_like_the_scalar_reference(self, tmp_path,
+                                                          mode):
+        # every stage's model, to the CSV's 17 digits, is the scalar
+        # reference's adapt stream over the same samples from the same fit
+        seed = 3
+        argv = ["synth", "update-demo", "--seed", str(seed), "--mode", mode,
+                "--outdir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        specs, novel = adaptation_demo_specs()
+        data = gen_mixture_samples(specs, seed)
+        model = fit(data, FitConfig(k_max=10, history_len=data.size,
+                                    rng_seed=seed)).model
+        cfg = AdaptationConfig(mode=mode)
+        pool = (ref.HistoryPool(data, maxlen=data.size) if mode == "exact"
+                else None)
+        stages = [("t0", model)]
+        samples = gen_mixture_samples(
+            [GaussianSpec(novel.mean, novel.stddev, 50)], seed + 1)
+        spawned = 0
+        for i, x in enumerate(samples, start=1):
+            model, matched = ref.adapt(model, float(x), cfg, pool)
+            spawned += not matched
+            if i in (25, 50):
+                stages.append((f"t{i}", model))
+        assert spawned > 0  # the stream did more than update in place
+        want = [["stage", "component", "weight", "mean", "variance"]]
+        want += [[name, str(k), f"{w:.17g}", f"{mu:.17g}", f"{var:.17g}"]
+                 for name, m in stages
+                 for k, (w, mu, var) in enumerate(zip(m.weights, m.means,
+                                                      m.variances))]
+        assert read_rows(tmp_path / "update_demo_components.csv") == want
+
+    def test_fit_demo_recovers_three_components(self, tmp_path):
+        assert main(["synth", "fit-demo", "--outdir", str(tmp_path)]) == EXIT_OK
+        rows = read_rows(tmp_path / "fit_demo_components.csv")[1:]
+        assert len(rows) == 3
+        means = sorted(float(r[3]) for r in rows)
+        assert means == pytest.approx([30.0, 110.0, 200.0], abs=2.0)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"]["k"] == 3
+
+    def test_video_writes_frames_and_ground_truth(self, tmp_path):
+        config = tmp_path / "scene.txt"
+        config.write_text("width = 6\nheight = 4\nframes = 7\nseed = 2\n"
+                          "background = 100 3\n"
+                          "event = 1 1 2 2 2 5 200 5  # frames 2, 3 and 4\n")
+        out = tmp_path / "out"
+        argv = ["synth", "video", "--config", str(config), "--outdir", str(out)]
+        assert main(argv) == EXIT_OK
+        names = [f"frame_{t:06d}.pgm" for t in range(7)]
+        assert sorted(p.name for p in (out / "frames").iterdir()) == names
+        assert sorted(p.name for p in (out / "gt").iterdir()) == names
+        event = np.zeros((4, 6), dtype=np.uint8)
+        event[1:3, 1:3] = 1
+        for t, name in enumerate(names):
+            want = event if 2 <= t < 5 else np.zeros_like(event)
+            assert np.array_equal(read_mask(out / "gt" / name), want)
+        frames, _ = read_pgm_sequence(str(out / "frames" / "*.pgm"))
+        assert frames.intensity_levels == 256 and frames.n_frames == 7
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"]["frames"] == 7
+
+
+class TestBench:
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_small_grid_writes_its_manifest(self, tmp_path, mode):
+        argv = ["bench", "--size", "8x6", "--frames", "3", "--mode", mode,
+                "--outdir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["args"]["mode"] == mode
+        [row] = manifest["outputs"]["results"]
+        assert (row["size"], row["frames"]) == ("8x6", 3)
+        assert row["fps"] > 0 and row["us_per_pixel"] > 0

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from thermobg.adapt import AdaptationConfig
+from thermobg.core import MixtureState
 from thermobg.engine import (ModelFormatError, initialize_grid, load_grid,
                              process_frame, save_grid)
 from thermobg.fit import FitConfig
 from thermobg.frameio import FrameSequence
-from thermobg.segment import SegmentationConfig, posterior_bg
+from thermobg.segment import SegmentationConfig, posterior_bg_rows
 
 HEIGHT, WIDTH, HISTORY = 4, 5, 30
 SEG = SegmentationConfig(min_blob_area=4)  # keeps the 6-pixel event
@@ -78,8 +79,10 @@ class TestSingleModelPath:
         for frame in video.frames[HISTORY:]:
             before = grid.state.models()
             mask = process_frame(grid, frame)
-            expected = np.array([posterior_bg(m, x, SEG)
-                                 for m, x in zip(before, frame.ravel())])
+            # each pixel's posterior on its own, as a one-pixel state
+            expected = np.array([
+                posterior_bg_rows(MixtureState.from_models([m]), [x], SEG)[0]
+                for m, x in zip(before, frame.ravel())])
             assert np.array_equal(mask.posterior.ravel(), expected)
 
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
@@ -125,9 +128,11 @@ class TestInitializeGrid:
 
 class TestLoadGrid:
     @pytest.mark.parametrize("record", ["2 0.5 10 1 0.6 50 1",
-                                        "2 0.995 10 1 0.005 50 1"])
+                                        "2 0.995 10 1 0.005 50 1",
+                                        "1 1 10 1e-08"])
     def test_weight_invariants_are_enforced(self, tmp_path, record):
-        # weights summing to 1.1, and a weight below 1/N at N = 100
+        # weights summing to 1.1, a weight below 1/N at N = 100, and a
+        # variance below VARIANCE_FLOOR
         path = tmp_path / "bad.vimm"
         path.write_text(f"VIMM1 2 1 100 256\n1 1 10 1\n{record}\n")
         with pytest.raises(ModelFormatError, match="pixel 1") as info:

@@ -36,13 +36,13 @@ def points(monkeypatch):
     seen = [0]
     exact, approx = adapt_module._exact_chunk, adapt_module._approx_chunk
 
-    def exact_counted(samples, stored, x, count, n_eps, cfg):
+    def exact_counted(samples, stored, x, count, n_eps):
         seen[0] += int(np.sum(n_eps))
-        return exact(samples, stored, x, count, n_eps, cfg)
+        return exact(samples, stored, x, count, n_eps)
 
-    def approx_counted(log_w, mu, sigma, x, n_eps, cfg):
+    def approx_counted(log_w, mu, sigma, x, n_eps):
         seen[0] += int(np.sum(n_eps))
-        return approx(log_w, mu, sigma, x, n_eps, cfg)
+        return approx(log_w, mu, sigma, x, n_eps)
 
     monkeypatch.setattr(adapt_module, "_exact_chunk", exact_counted)
     monkeypatch.setattr(adapt_module, "_approx_chunk", approx_counted)
@@ -53,9 +53,9 @@ def points(monkeypatch):
     return take
 
 
-def grid_size(top, cfg):
-    return len(range(cfg.epsilon_min, max(cfg.epsilon_min, top) + 1,
-                     cfg.epsilon_step))
+def grid_size(top):
+    """Points of the eps grid 1, 2, ..., top (at least one)."""
+    return max(1, top)
 
 
 def with_ties(log_f, log_p, bound):
@@ -123,13 +123,13 @@ class TestExactCut:
         grid = 0
         for i in range(pool.n_pixels):
             if count[i] == 0:
-                assert (full[0][i], full[1][i]) == (EXACT.epsilon_min, 0.0)
+                assert (full[0][i], full[1][i]) == (1, 0.0)
                 continue
             values = pool.samples[i, :count[i]].tolist()
             want = ref.epsilon_star_exact(values, float(x[i]), EXACT)
             # branch and bound keeps the full grid's eps* and p
             assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p), i
-            grid += grid_size(math.ceil(max(values) - min(values)), EXACT)
+            grid += grid_size(math.ceil(max(values) - min(values)))
         assert full_points <= grid
 
         # the bound at an eps of each grid: 1 / (2 eps) for eps = 1 .. 6
@@ -210,8 +210,8 @@ class TestApproxCut:
             m = MixtureModel([w[i]], [mu[i]], [var[i]], 100, levels or 256)
             want = ref.epsilon_star_approx(m, 0, float(x[i]), APPROX)
             assert int(full[0][i]) == want.epsilon, i
-            grid += grid_size(math.ceil(APPROX.epsilon_max_sigmas
-                                        * math.sqrt(var[i])), APPROX)
+            grid += grid_size(math.ceil(adapt_module.EPSILON_MAX_SIGMAS
+                                        * math.sqrt(var[i])))
         assert full_points == grid
 
         log_f = log_density_rows(mu, var, x)

@@ -6,7 +6,7 @@ import pytest
 
 from thermobg.core import VARIANCE_FLOOR
 from thermobg.fit import (FitConfig, Priors, VariationalPosterior,
-                          default_priors, e_step, e_step_rows, elbo, elbo_rows,
+                          e_step, e_step_rows, elbo, elbo_rows,
                           fit, kmeanspp_init, kmeanspp_rows, m_step,
                           m_step_rows, priors_rows)
 
@@ -24,28 +24,22 @@ class TestDefaultPriors:
     def test_formula_values(self):
         # mean 100, population variance 4
         data = np.array([98.0, 102.0, 98.0, 102.0, 98.0, 102.0])
-        p = default_priors(data)
+        p = priors_rows(data[None, :])
         assert p.lambda0 == 1.0
-        assert p.m0 == pytest.approx(100.0)
+        assert p.m0[0] == pytest.approx(100.0)
         assert p.a0 == 1e-3 and p.b0 == 1e-3
-        assert p.beta0 == pytest.approx(1e-3 / (1e-3 * 4.0))
-        assert not p.degenerate
+        assert p.beta0[0] == pytest.approx(1e-3 / (1e-3 * 4.0))
 
     def test_constant_data_uses_floor(self):
-        p = default_priors(np.full(60, 17.0))
-        assert p.degenerate
-        assert p.m0 == 17.0
-        assert p.beta0 == pytest.approx(1.0 / VARIANCE_FLOOR)
+        p = priors_rows(np.full((1, 60), 17.0))
+        assert p.m0[0] == 17.0
+        assert p.beta0[0] == pytest.approx(1.0 / VARIANCE_FLOOR)
 
     def test_uniform_grid(self):
         data = np.arange(256, dtype=float)
-        p = default_priors(data)
-        assert p.m0 == pytest.approx(127.5)
-        assert p.beta0 == pytest.approx(1.0 / np.var(data))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            default_priors([])
+        p = priors_rows(data[None, :])
+        assert p.m0[0] == pytest.approx(127.5)
+        assert p.beta0[0] == pytest.approx(1.0 / np.var(data))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -326,7 +320,7 @@ class TestElbo:
     def test_coordinate_ascent_is_monotone(self):
         rng = np.random.default_rng(31)
         data = np.concatenate([rng.normal(20, 2, 40), rng.normal(60, 3, 60)])
-        priors = default_priors(data)
+        priors = priors_rows(data[None, :])
         init = kmeanspp_init(data, 6, seed=31)
         resp = np.zeros((data.size, init.n_clusters))
         resp[np.arange(data.size), init.assignments] = 1.0

@@ -21,7 +21,9 @@ def assert_matches_reference(samples, cfg, seeds, levels=65536):
     assign, _, _ = kmeanspp_rows(samples, cfg.k_max, seeds)
     for i, seed in enumerate(seeds):
         cfg_i = replace(cfg, rng_seed=seed)
-        want = ref.fit(samples[i], cfg_i, intensity_levels=levels)
+        ref_cfg = ref.FitConfig(k_max=cfg.k_max, history_len=cfg.history_len,
+                                max_iters=cfg.max_iters, rng_seed=seed)
+        want = ref.fit(samples[i], ref_cfg, intensity_levels=levels)
         init = ref.kmeanspp_init(samples[i], cfg.k_max, seed)
         assert np.array_equal(assign[i], init.assignments), i
         model = got.state.model(i)

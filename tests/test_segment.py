@@ -32,4 +32,4 @@ class TestBlobFilter:
         dropped = blob_filter(mask, SegmentationConfig(min_blob_area=4,
                                                        connectivity=4))
         assert np.array_equal(kept.labels, labels)
-        assert dropped.foreground_count() == 0
+        assert not dropped.labels.any()
