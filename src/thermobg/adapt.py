@@ -84,13 +84,15 @@ class SamplePool:
     ``pushed[p]`` counts the samples pixel p has received; its stored
     samples are the first ``count[p]`` slots of ``samples[p]``, and its next
     sample goes to slot ``pushed[p] % N``, which once the buffer is full
-    holds its oldest sample.
+    holds its oldest sample.  Slots not yet filled hold NaN, so full and
+    partly filled pools are read alike: fmax and fmin skip NaN, a sort puts
+    it last, and it fails every comparison.
     """
 
     def __init__(self, n_pixels: int, maxlen: int):
         if maxlen < 1:
             raise ValueError("pool length must be positive")
-        self.samples = np.zeros((n_pixels, maxlen))
+        self.samples = np.full((n_pixels, maxlen), np.nan)
         self.pushed = np.zeros(n_pixels, dtype=np.int64)
 
     @classmethod
@@ -210,42 +212,50 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
     eps = np.ones(x.size, dtype=np.int64)
     p = np.zeros(x.size)
     log_p = np.full(x.size, -np.inf)
-    count = pool.count
-    filled = np.flatnonzero(count > 0)
-    if filled.size == 0:
-        return eps, p, log_p
-    samples, stored = pool.samples, None
-    if count.min() < pool.maxlen:
-        stored = np.arange(pool.maxlen) < count[:, None]
-        v_max = np.where(stored, samples, -np.inf).max(axis=1)[filled]
-        v_min = np.where(stored, samples, np.inf).min(axis=1)[filled]
-    else:
-        v_max, v_min = samples.max(axis=1), samples.min(axis=1)
-    n_eps = np.zeros(x.size, dtype=np.int64)
-    n_eps[filled] = np.maximum(1.0, np.ceil(v_max - v_min))
+    samples, count = pool.samples, pool.count
+    # each pool's extremes, NaN where it is empty; reduceat over the flat
+    # rows runs faster than a reduction along axis 1
+    flat, first = samples.reshape(-1), np.arange(0, samples.size, pool.maxlen)
+    top, bottom = np.fmax.reduceat(flat, first), np.fmin.reduceat(flat, first)
+    n_eps = np.where(count > 0, np.maximum(1.0, np.ceil(top - bottom)), 0.0)
     n_eps = _capped_length(n_eps, 0.0, log_density)
     long = np.flatnonzero(n_eps > pool.maxlen)
     if long.size:
-        q = _window_lower_bound(samples[long], None if stored is None
-                                else stored[long], x[long], count[long],
+        q = _window_lower_bound(samples[long], x[long], count[long],
                                 n_eps[long])
         with np.errstate(divide="ignore"):
             n_eps[long] = _capped_length(n_eps[long], 0.0, np.log(q))
 
     rows = np.flatnonzero(n_eps > 0)
-    for lo, hi in _row_chunks((n_eps + count)[rows], _CHUNK_POINTS):
+    if rows.size == 0:
+        return eps, p, log_p
+    integer = _integer_levels(samples, count, x, top, bottom)
+    for lo, hi in _row_chunks((n_eps + pool.maxlen)[rows], _CHUNK_POINTS):
         r = rows[lo:hi]
         if r[-1] - r[0] == r.size - 1:
             r = slice(r[0], r[-1] + 1)  # a view of the pool, not a copy
-        eps[r], p[r] = _exact_chunk(
-            samples[r], None if stored is None else stored[r], x[r],
-            count[r], n_eps[r])
+        eps[r], p[r] = _exact_chunk(samples[r], x[r], count[r], n_eps[r],
+                                    integer)
     found = p > 0.0
     log_p[found] = np.log(p[found])
     return eps, p, log_p
 
 
-def _window_lower_bound(samples, stored, x, count, n_eps):
+def _integer_levels(samples, count, x, top, bottom) -> bool:
+    """Whether x and all stored samples are integers below _EXACT_BELOW in
+    magnitude, as 8- and 16-bit frames deliver them, given the pools'
+    extremes top and bottom.  Judged on the samples themselves, never on
+    |v - x|: see _exact_chunk.  NaN slots are no integers (NaN == NaN
+    fails), so all count.sum() stored samples must pass."""
+    return bool(np.fmax.reduce(top) < _EXACT_BELOW
+                and np.fmin.reduce(bottom) > -_EXACT_BELOW
+                and np.all(np.floor(x) == x)
+                and np.fmax.reduce(np.abs(x)) < _EXACT_BELOW
+                and np.count_nonzero(np.floor(samples) == samples)
+                == count.sum())
+
+
+def _window_lower_bound(samples, x, count, n_eps):
     """Per row, a lower bound q on the best p(x; eps) of its n_eps-point
     grid: the largest k / (2 N eps_k) over the k for which eps_k, the first
     grid eps at or above 1 + the k-th smallest |v - x|, is on the grid.
@@ -253,10 +263,9 @@ def _window_lower_bound(samples, stored, x, count, n_eps):
     rounding moves |v - x| and x +- eps by less than 1/2), so
     N_eps >= k there.  The computed p there, 0.5 * 2 N_eps over
     N * 2 eps, is then at least the computed q, which divides k by the
-    same denominator.  0 where no k qualifies."""
+    same denominator.  0 where no k qualifies.  The NaN of an unfilled slot
+    sorts last and is never on the grid."""
     dist = np.abs(samples - x[:, None])
-    if stored is not None:
-        dist[~stored] = np.inf
     dist.sort(axis=1)
     steps = np.ceil(dist)  # eps_k = 1 + steps
     on_grid = steps < n_eps[:, None]
@@ -266,11 +275,65 @@ def _window_lower_bound(samples, stored, x, count, n_eps):
     return np.where(on_grid, q, 0.0).max(axis=1)
 
 
-def _exact_chunk(samples, stored, x, count, n_eps):
+def _exact_chunk(samples, x, count, n_eps, integer):
     """epsilon_star_exact_rows on a range of rows with stored samples:
     (eps*, p) over their first n_eps grid points, from their (rows, N)
-    samples; ``stored`` masks the stored ones of partly filled pools (None
-    when all are full).
+    samples with NaN in the unfilled slots.  Both kernels below pass
+    through here; ``integer`` picks one for the whole frame.
+
+    In exact arithmetic twice N_eps is the sum over the stored samples v of
+    [|v - x| <= eps] + [|v - x| < eps].  Each term is a step along the
+    grid; the kernels place every sample's steps in a histogram, one row of
+    bins per pixel, and read twice N_eps off its running sums.  A NaN slot
+    goes to its row's last bin, past the grid, where no sum reads it.
+    - _integer_twice, when x and every stored sample of the frame are
+      integers below 2**51 (_integer_levels): |v - x| is then an exact
+      integer d, so one histogram of d gives C(e) = #{d <= e} and
+      twice N_eps = C(eps) + C(eps - 1).
+    - _general_twice, for any other frame: the doubled axis and the
+      floating-point comparisons themselves near integer distances.
+    Integrality is judged on the samples, never on |v - x|: with x = 1 and
+    v = 1e-20, fl(x - v) = 1.0 looks like an integer distance, but v lies
+    strictly inside the eps = 1 window and counts twice there, where the
+    single histogram would count it once.
+    """
+    point_row = np.repeat(np.arange(n_eps.size), n_eps)
+    starts = np.cumsum(n_eps) - n_eps
+    grid = 1 + np.arange(point_row.size) - starts[point_row]
+    twice = (_integer_twice(samples, x, n_eps, point_row) if integer
+             else _general_twice(samples, x, n_eps, point_row, grid))
+    p = 0.5 * twice / (count[point_row] * 2.0 * grid)
+    best, p_best = _first_argmax(p, starts, point_row)
+    return np.where(p_best > 0.0, grid[best], 1), p_best
+
+
+def _integer_twice(samples, x, n_eps, point_row):
+    """Twice N_eps at each grid point of integer rows: one bincount of
+    d = fmin(|v - x|, n_eps + 1) on the bins 0 .. n_eps + 1 of each row.
+    Every slot of a row, NaN included, lands in that row, so the running
+    sum before row r is r N, and C(e) of row r is the running sum at its
+    bin e less r N.  With n_eps + 2 bins per row, bin eps of the point at
+    flat index i lies at i + 2 r + 1.
+
+    The distances are laid out slot by slot, (N, rows), so that bincount
+    meets the rows in turn: most samples lie past a short grid, and
+    counting a row's samples into its last bin back to back would make
+    every increment wait for the one before."""
+    bins = n_eps + 2
+    row_first = np.cumsum(bins) - bins
+    d = np.subtract(samples.T, x, order="C")
+    np.abs(d, out=d)
+    np.fmin(d, bins - 1.0, out=d)
+    d += row_first
+    running = np.cumsum(np.bincount(d.astype(np.intp).reshape(-1),
+                                    minlength=int(bins.sum())))
+    pairs = running[1:] + running[:-1]  # C(e) + C(e - 1) at bin e - 1
+    return pairs[point_row * 2 + np.arange(point_row.size)] \
+        - 2 * samples.shape[1] * point_row
+
+
+def _general_twice(samples, x, n_eps, point_row, grid):
+    """Twice N_eps at each grid point of any rows.
 
     Twice N_eps at eps = eps_j is the sum over the stored samples v of
     [v <= x + eps] + [v < x + eps] + [v >= x - eps] + [v > x - eps] - 2.
@@ -284,41 +347,35 @@ def _exact_chunk(samples, stored, x, count, n_eps):
     four steps of any other sample are located with the floating-point
     comparisons themselves.  "Far enough" is more than 2**-48 times a
     bound on |v| + |x| + eps, well above the rounding of x +- eps and of
-    v - x.  When every sample and x are such integers, 2 |v - x| is an
-    integer and the second step lies one bin past the first, so one
-    histogram H gives both: twice N_eps = H(<= 2 eps) + H(<= 2 eps - 1).
+    v - x.  A NaN slot is neither, and fmin sends both its steps to the
+    overflow bin.
     """
-    values = samples.reshape(-1) if stored is None else samples[stored]
+    n = samples.shape[1]
     bins = 2 * n_eps + 2  # z = 0 .. 2 n_eps, then an overflow bin
     row_first = np.cumsum(bins) - bins
-    xv = np.repeat(x, count)
-    z_over = np.repeat(bins - 1, count).astype(np.float64)
+    values = samples.reshape(-1)
+    xv = np.repeat(x, n)
+    z_over = np.repeat(bins - 1, n).astype(np.float64)
     t = values - xv
     dist = 2.0 * np.abs(t)
     x_exact = (x == np.floor(x)) & (np.abs(x) < _EXACT_BELOW)
-    closed = np.repeat(x_exact, count)
+    closed = np.repeat(x_exact, n)
     if x_exact.any():
         closed &= ((values == np.floor(values))
                    & (np.abs(values) < _EXACT_BELOW))
-    integer = bool(closed.all())
-    if integer:  # the second step is one bin past the first
-        steps = [np.minimum(dist, z_over)]
-    else:
-        steps = [np.minimum(np.ceil(dist), z_over),
-                 np.minimum(np.floor(dist) + 1.0, z_over)]
-    first = [np.repeat(row_first, count)] * len(steps)
+    steps = [np.fmin(np.ceil(dist), z_over),
+             np.fmin(np.floor(dist) + 1.0, z_over)]
+    first = [np.repeat(row_first, n)] * len(steps)
 
-    near = np.empty(0, dtype=np.intp)
-    if not integer:
-        mag = np.abs(samples).max(axis=1) + np.abs(x) + n_eps
-        slack = np.repeat(mag * 2.0 ** -48, count)
-        near = np.flatnonzero(~closed & (np.abs(t - np.rint(t)) <= slack))
+    mag = np.fmax.reduce(np.abs(samples), axis=1) + np.abs(x) + n_eps
+    slack = np.repeat(mag * 2.0 ** -48, n)
+    near = np.flatnonzero(~closed & (np.abs(t - np.rint(t)) <= slack))
     twice_less = 0
     if near.size:
         for z in steps:
             z[near] = z_over[near]
         v, xs = values[near], xv[near]
-        limit = np.repeat(n_eps, count)[near]
+        limit = np.repeat(n_eps, n)[near]
         up = v - xs - 1.0    # eps_j = 1 + j < v - x  <=>  j < up
         down = xs - v - 1.0  # eps_j < x - v  <=>  j < down
 
@@ -336,24 +393,14 @@ def _exact_chunk(samples, stored, x, count, n_eps):
             steps.append(np.minimum(2.0 * grid_at(j), z_over[near]))
             first.append(first[0][near])
         # a searched sample's four brackets still carry its -2
-        pixel = np.repeat(np.arange(count.size), count)[near]
-        twice_less = 2 * np.bincount(pixel, minlength=count.size)
+        twice_less = 2 * np.bincount(near // n, minlength=n_eps.size)
 
     n_bins = int(bins.sum())
     hist = sum(np.bincount((z + f).astype(np.intp), minlength=n_bins)
                for z, f in zip(steps, first))
     running = np.cumsum(hist)
     before = running[row_first] - hist[row_first] + twice_less
-    point_row = np.repeat(np.arange(n_eps.size), n_eps)
-    starts = np.cumsum(n_eps) - n_eps
-    grid = 1 + np.arange(point_row.size) - starts[point_row]
-    at = row_first[point_row] + 2 * grid
-    twice = running[at] - before[point_row]
-    if integer:
-        twice += running[at - 1] - before[point_row]
-    p = 0.5 * twice / (count[point_row] * 2.0 * grid)
-    best, p_best = _first_argmax(p, starts, point_row)
-    return np.where(p_best > 0.0, grid[best], 1), p_best
+    return running[row_first[point_row] + 2 * grid] - before[point_row]
 
 
 def epsilon_star_exact(samples, x: float,
@@ -539,22 +586,22 @@ def prune_renormalize_rows(state: MixtureState) -> None:
     if n > MAX_HISTORY_LEN:
         raise ValueError(f"history_len above {MAX_HISTORY_LEN} is not supported")
     kept = state.weights >= 1.0 / n  # padding slots weigh 0
-    empty = np.flatnonzero(~kept.any(axis=1))
+    k = np.count_nonzero(kept, axis=1)
+    empty = np.flatnonzero(k == 0)
     if empty.size:  # keep the heaviest component rather than an empty model
         kept[empty, np.argmax(state.weights[empty], axis=1)] = True
+        k[empty] = 1
     weights = np.where(kept, state.weights, 0.0)
     weights /= fsum_rows(weights)[:, None]
 
-    k = np.count_nonzero(kept, axis=1)
     moved = np.flatnonzero(k != state.k)
     if moved.size:
         order = np.argsort(~kept[moved], axis=1, kind="stable")
         pad = np.arange(state.capacity) >= k[moved][:, None]
-        for name, fill in (("means", 0.0), ("variances", 1.0)):
-            values = getattr(state, name)
-            values[moved] = np.where(
-                pad, fill, np.take_along_axis(values[moved], order, axis=1))
-        weights[moved] = np.take_along_axis(weights[moved], order, axis=1)
+        at = (moved[:, None], order)
+        state.means[moved] = np.where(pad, 0.0, state.means[at])
+        state.variances[moved] = np.where(pad, 1.0, state.variances[at])
+        weights[moved] = weights[at]
     state.weights = weights
     state.k = k
 
@@ -569,12 +616,21 @@ def fsum_rows(values) -> np.ndarray:
     remainders are multiples of the ulp of the row's smallest nonzero entry
     and total less than K u, so they sum exactly when the row total is
     below 2**51 / K times that entry.  One addition of the two exact sums
-    is then the correctly rounded total.
+    is then the correctly rounded total.  Every partial sum of either part
+    is exact too, so the order of the additions does not matter, and each
+    part is summed as a product with a vector of ones.
+
+    The unit is u = 2 spacing(t) for the row total t so computed.  A
+    positive normal t lies in [2**(e-1), 2**e) for e = frexp(t)[1], where
+    floats are spacing(t) = 2**(e-53) apart, so u = 2**(e-52), which is
+    ldexp(1, e - 52).  Then 2**53 u = 2**(e+1) is above 2 t, and 2 t above
+    the exact total: t adds K nonnegative terms with K roundings, each
+    within a factor 1 + 2**-53.
     """
-    _, exponent = np.frexp(values.sum(axis=1))
-    unit = np.ldexp(1.0, exponent - 52)[:, None]
+    ones = np.ones(values.shape[1])
+    unit = 2.0 * np.spacing(values @ ones)[:, None]
     high = np.floor(values / unit) * unit
-    return high.sum(axis=1) + (values - high).sum(axis=1)
+    return high @ ones + (values - high) @ ones
 
 
 def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
@@ -679,8 +735,8 @@ def _capped_length(n_eps, log_mass, log_ref):
     with np.errstate(invalid="ignore"):
         margin = _CEILING_MARGIN * (1.0 + np.abs(log_mass) + np.abs(log_ref))
         bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
-    half = 0.5 * np.exp(bound)
-    return np.clip(np.floor(half), 0, n_eps).astype(np.int64)
+    half = 0.5 * np.exp(bound)  # not NaN: fmin returned the cap for NaN
+    return np.minimum(np.floor(half), n_eps).astype(np.int64)
 
 
 def _prefix_length(holds, guess, limit):
@@ -704,5 +760,8 @@ def _first_argmax(values, starts, row):
     maximum itself."""
     top = np.maximum.reduceat(values, starts)
     hits = np.flatnonzero(values == top[row])
-    first = hits[np.flatnonzero(np.diff(row[hits], prepend=-1))]
-    return first, top
+    hit_row = row[hits]
+    first = np.empty(hits.size, dtype=bool)  # the first hit of its row
+    first[0] = True
+    np.not_equal(hit_row[1:], hit_row[:-1], out=first[1:])
+    return hits[first], top

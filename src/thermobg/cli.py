@@ -52,19 +52,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.argv = argv  # the manifest records the command that ran
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FrameFormatError, ModelFormatError, FileNotFoundError,
-            NotADirectoryError, ValueError) as exc:
+            FileExistsError, NotADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -187,6 +189,7 @@ def cmd_fit(args) -> int:
     if history.n_frames < args.history:
         raise ValueError(f"need at least {args.history} frames for the "
                          f"history, input has {history.n_frames}")
+    _make_parent(args.out)
     printer = _ProgressPrinter(history.width * history.height)
     grid = initialize_grid(history, cfg, progress=printer)
     save_grid(grid, args.out)
@@ -225,6 +228,8 @@ def cmd_run(args) -> int:
                                grid.fit_config.history_len)
 
     os.makedirs(args.outdir, exist_ok=True)
+    out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
+    _make_parent(out_model)
     post_dir = os.path.join(args.outdir, "posterior")
     if args.save_posterior:
         os.makedirs(post_dir, exist_ok=True)
@@ -233,7 +238,6 @@ def cmd_run(args) -> int:
         write_mask(mask.labels, os.path.join(args.outdir, names[i]))
         if args.save_posterior:
             write_posterior(mask.posterior, os.path.join(post_dir, names[i]))
-    out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
     save_grid(grid, out_model)
 
     elapsed = time.perf_counter() - t0
@@ -450,13 +454,19 @@ def _write_density_csv(path, models: dict, data) -> None:
                             [f"{columns[name][i]:.10g}" for name in columns])
 
 
+def _make_parent(path) -> None:
+    """Create the directory an output file goes into, before the work that
+    fills it."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
+
 def _write_manifest(outdir, command, args, outputs, elapsed) -> None:
     os.makedirs(outdir or ".", exist_ok=True)
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "args": {k: v for k, v in sorted(vars(args).items())
-                 if k != "func" and _jsonable(v)},
+                 if k not in ("func", "argv") and _jsonable(v)},
         "outputs": outputs,
         "elapsed_sec": elapsed,
         "rng_algorithm": RNG_ALGORITHM,

@@ -72,10 +72,9 @@ def posterior_bg_rows(state: MixtureState, x: np.ndarray,
     column at a time, so every pixel's sum rounds the same way whatever the
     other pixels hold.  A padding slot adds weight 0 times a finite density.
     """
-    x = np.asarray(x, dtype=np.float64)[:, None]
+    diff = np.asarray(x, dtype=np.float64)[:, None] - state.means
     var = state.variances
-    pdf = np.exp(-0.5 * (x - state.means) * (x - state.means) / var) \
-        / np.sqrt(2.0 * math.pi * var)
+    pdf = np.exp(-0.5 * diff * diff / var) / np.sqrt(2.0 * math.pi * var)
     terms = state.weights * pdf
     d = np.zeros(state.n_pixels)
     for col in terms.T:

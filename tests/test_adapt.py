@@ -444,3 +444,20 @@ class TestSamplePool:
         part.push([3.0])
         assert part.values(0) == [1.0, 2.0, 3.0]
         assert part.count.tolist() == [3]
+
+    def test_unfilled_slots_hold_nan(self):
+        # slots a pixel has not filled yet hold NaN, through push, take and
+        # put; filled slots hold the samples in ring order
+        pool = SamplePool(3, 4)
+        assert np.isnan(pool.samples).all()
+        pool.push([1.0, 2.0, 3.0])
+        part = SamplePool.from_history([[5.0], [6.0]], maxlen=4)
+        pool.put([1], part)
+        assert pool.values(1) == [5.0, 6.0]
+        assert pool.count.tolist() == [1, 2, 1]
+        stored = np.arange(4) < pool.count[:, None]
+        assert not np.isnan(pool.samples[stored]).any()
+        assert np.isnan(pool.samples[~stored]).all()
+        rows = pool.take([2, 1])
+        assert rows.values(0) == [3.0] and rows.values(1) == [5.0, 6.0]
+        assert np.isnan(rows.samples[0, 1:]).all()

@@ -138,6 +138,27 @@ class TestFit:
         assert min(r.death_trials for r in results) > 0
         assert "workers_env" not in manifest and "default_workers" not in manifest
 
+    def test_manifest_records_the_argv_given_to_main(self, tmp_path):
+        video = write_video(tmp_path / "video", HISTORY)
+        argv = fit_argv(video, tmp_path / "model.vimm")
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert "argv" not in manifest["args"]
+
+    def test_creates_the_model_directory(self, tmp_path):
+        video = write_video(tmp_path / "video", HISTORY)
+        out = tmp_path / "new" / "dir" / "m.vimm"
+        assert main(fit_argv(video, out)) == EXIT_OK
+        assert load_grid(out).width == 3
+        assert (out.parent / "manifest.json").is_file()
+
+    def test_model_path_under_a_file_is_a_data_error(self, tmp_path):
+        video = write_video(tmp_path / "video", HISTORY)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "m.vimm"
+        assert main(fit_argv(video, out)) == EXIT_DATA
+
 
 class TestRun:
     def test_fit_then_run_models_load(self, tmp_path):
@@ -195,6 +216,22 @@ class TestRun:
         argv = run_argv(video, fitted, tmp_path / "out", frozen, "--freeze")
         assert main(argv) == EXIT_OK
         assert frozen.read_bytes() == fitted.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_creates_the_out_model_directory(self, tmp_path, mode):
+        video, fitted = fitted_video(tmp_path, HISTORY + 2)
+        final = tmp_path / "other" / "dir" / "m.vimm"
+        argv = run_argv(video, fitted, tmp_path / "out", final, "--mode", mode)
+        assert main(argv) == EXIT_OK
+        assert load_grid(final).width == 3
+
+    def test_out_model_under_a_file_fails_before_any_frame(self, tmp_path):
+        video, fitted = fitted_video(tmp_path, HISTORY + 2)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "out"
+        argv = run_argv(video, fitted, out, tmp_path / "taken" / "m.vimm")
+        assert main(argv) == EXIT_DATA
+        assert not list(out.glob("*.pgm"))
 
     def test_model_and_frame_size_mismatch_is_a_data_error(self, tmp_path):
         _, fitted = fitted_video(tmp_path, HISTORY)

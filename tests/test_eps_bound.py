@@ -32,25 +32,37 @@ SEEDS = {8: 8, 16: 16, "continuous": 3}
 
 @pytest.fixture
 def points(monkeypatch):
-    """Counts the eps points the chunk kernels evaluate."""
+    """Counts the eps points the chunk kernels evaluate: the length of
+    every p array whose first argmax a kernel takes, whichever exact-mode
+    kernel or approx-mode chunk computed it."""
     seen = [0]
-    exact, approx = adapt_module._exact_chunk, adapt_module._approx_chunk
+    first_argmax = adapt_module._first_argmax
 
-    def exact_counted(samples, stored, x, count, n_eps):
-        seen[0] += int(np.sum(n_eps))
-        return exact(samples, stored, x, count, n_eps)
+    def counted(values, starts, row):
+        seen[0] += values.size
+        return first_argmax(values, starts, row)
 
-    def approx_counted(log_w, mu, sigma, x, n_eps):
-        seen[0] += int(np.sum(n_eps))
-        return approx(log_w, mu, sigma, x, n_eps)
-
-    monkeypatch.setattr(adapt_module, "_exact_chunk", exact_counted)
-    monkeypatch.setattr(adapt_module, "_approx_chunk", approx_counted)
+    monkeypatch.setattr(adapt_module, "_first_argmax", counted)
 
     def take():
         n, seen[0] = seen[0], 0
         return n
     return take
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The arguments (samples, x, count, n_eps, integer) of every
+    _exact_chunk call, in order."""
+    calls = []
+    chunk = adapt_module._exact_chunk
+
+    def recorded(*args):
+        calls.append(args)
+        return chunk(*args)
+
+    monkeypatch.setattr(adapt_module, "_exact_chunk", recorded)
+    return calls
 
 
 def grid_size(top):
@@ -83,7 +95,8 @@ def assert_cut_keeps_decisions(full, cut, log_f):
 def exact_pool(kind, seed, pixels=240, n=40):
     """Pools of integer (8- or 16-bit) or continuous samples with far
     samples at the ends of the range, some partly filled and one empty,
-    and samples x near, in the tail of and far from them."""
+    and samples x near, in the tail of and far from them.  Unfilled slots
+    hold NaN, as in every SamplePool."""
     levels, base, sd = KINDS[kind]
     rng = np.random.default_rng(seed)
     values = rng.normal(base, sd, (pixels, n))
@@ -100,25 +113,27 @@ def exact_pool(kind, seed, pixels=240, n=40):
     pool.samples[:] = values
     pool.pushed[:] = rng.choice([n, 3 * n + 1, n // 2, 1], pixels)
     pool.pushed[-1] = 0
+    pool.samples[np.arange(n) >= pool.count[:, None]] = np.nan
     mu = base + sd * rng.normal(0.0, 1.0, pixels)
     var = sd * sd * rng.choice([1e-4, 0.05, 0.5, 1.0, 4.0], pixels)
     return pool, x, log_density_rows(mu, var, x)
 
 
 def repeat_pool(pool, times):
-    """The pool's pixels repeated ``times`` over, in order."""
-    out = SamplePool(pool.n_pixels * times, pool.maxlen)
-    out.samples[:] = np.tile(pool.samples, (times, 1))
-    out.pushed[:] = np.tile(pool.pushed, times)
-    return out
+    """The pool's pixels repeated ``times`` over, in order, NaN slots
+    included."""
+    return pool.take(np.tile(np.arange(pool.n_pixels), times))
 
 
 class TestExactCut:
     @pytest.mark.parametrize("kind", [8, 16, "continuous"])
-    def test_cut_keeps_decisions_and_misses(self, kind, points):
+    def test_cut_keeps_decisions_and_misses(self, kind, points, exact_calls):
         pool, x, log_f = exact_pool(kind, seed=SEEDS[kind])
         full = epsilon_star_exact_rows(pool, x, EXACT)
         full_points = points()
+        # integer levels take the integer kernel, and its points are counted
+        assert {call[-1] for call in exact_calls} == {kind != "continuous"}
+        assert full_points > 0
         count = pool.count
         grid = 0
         for i in range(pool.n_pixels):
@@ -175,7 +190,7 @@ class TestExactCut:
         pool = SamplePool.from_history(values.T, n)
         x = np.array([30001.0, 30040.0, 29900.0, 0.0])
         full = epsilon_star_exact_rows(pool, x, EXACT)
-        assert points() < 2000
+        assert 0 < points() < 2000
         for i in range(pixels):
             want = ref.epsilon_star_exact(values[i].tolist(), x[i], EXACT)
             assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p)
@@ -188,6 +203,81 @@ class TestExactCut:
         assert points() == 1
         assert (eps[0], p[0], log_p[0]) == (1, 0.0, -np.inf)
         assert (eps[1], p[1]) == (1, 0.5)
+
+
+def kernel_rows(pool, x, limit=None):
+    """The filled rows of the pool with their full grid lengths (at most
+    ``limit``): the arguments of _exact_chunk but for the kernel flag."""
+    rows = np.flatnonzero(pool.count > 0)
+    n_eps = np.array([grid_size(math.ceil(max(v) - min(v)))
+                      for v in map(pool.values, rows)])
+    if limit is not None:
+        n_eps = np.minimum(n_eps, limit)
+    return pool.samples[rows], x[rows], pool.count[rows], n_eps
+
+
+def both_kernels(args):
+    integer = adapt_module._exact_chunk(*args, True)
+    general = adapt_module._exact_chunk(*args, False)
+    return integer, general
+
+
+class TestExactKernels:
+    """The integer kernel against the general one, and the choice between
+    them."""
+
+    @pytest.mark.parametrize("kind", [8, 16])
+    def test_integer_kernel_matches_general(self, kind, exact_calls):
+        pool, x, log_f = exact_pool(kind, seed=SEEDS[kind] + 100)
+        count = pool.count
+        assert {count.min(), count.max()} == {0, pool.maxlen}
+        assert (count[:-1] < pool.maxlen).any()  # partly filled pools
+        # far samples at both ends of the range in the evaluated pools
+        assert (pool.samples == 0.0).any()
+        assert (pool.samples == KINDS[kind][0] - 1.0).any()
+
+        # the whole grid of every row; 16-bit grids reach 65535 points, so
+        # there only the first rows run to the end and the rest stop early
+        cases = [kernel_rows(pool, x, limit=None if kind == 8 else 3000)]
+        if kind == 16:
+            head = pool.take(np.arange(12))
+            cases.append(kernel_rows(head, x[:12]))
+        # and the calls the program makes, with and without a cut
+        epsilon_star_exact_rows(pool, x, EXACT)
+        epsilon_star_exact_rows(pool, x, EXACT, log_f)
+        assert exact_calls and all(call[-1] for call in exact_calls)
+        cases += [call[:-1] for call in exact_calls]
+        for args in cases:
+            (eps_i, p_i), (eps_g, p_g) = both_kernels(args)
+            assert np.array_equal(eps_i, eps_g)
+            assert np.array_equal(p_i, p_g)
+
+    def test_tiny_offset_takes_the_general_path(self, exact_calls):
+        # fl(1 - 1e-20) = 1.0 looks like an integer distance, yet 1e-20 lies
+        # strictly inside the eps = 1 window around 1 and counts in full
+        values = [1e-20, 1.0, 2.0, 3.0, 5.0]
+        pool = SamplePool.from_history(np.array(values)[:, None], 5)
+        got = epsilon_star_exact_rows(pool, [1.0], EXACT)
+        assert [call[-1] for call in exact_calls] == [False]
+        want = ref.epsilon_star_exact(values, 1.0, EXACT)
+        assert (int(got[0][0]), float(got[1][0])) == (want.epsilon, want.p)
+        assert want.p == 0.25
+        # the single histogram would count 1e-20 once at eps = 1
+        (_, p_i), (_, p_g) = both_kernels(kernel_rows(pool, np.array([1.0])))
+        assert (p_i[0], p_g[0]) == (0.2, 0.25)
+
+    def test_one_continuous_pixel_sends_the_frame_to_the_general_path(
+            self, exact_calls):
+        pool, x, _ = exact_pool(8, seed=5)
+        epsilon_star_exact_rows(pool, x, EXACT)
+        assert {call[-1] for call in exact_calls} == {True}
+        exact_calls.clear()
+        pool.samples[3, 0] += 0.5
+        full = epsilon_star_exact_rows(pool, x, EXACT)
+        assert {call[-1] for call in exact_calls} == {False}
+        i = 3
+        want = ref.epsilon_star_exact(pool.values(i), float(x[i]), EXACT)
+        assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p)
 
 
 class TestApproxCut:

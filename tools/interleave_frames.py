@@ -1,0 +1,161 @@
+"""Time two thermobg source trees frame by frame in one process.
+
+    python3 tools/interleave_frames.py SRC_A SRC_B WORKLOAD [--seed S] [--reps R]
+
+SRC_A and SRC_B are directories holding the ``thermobg`` package, such as the
+``src`` directories of two checkouts; WORKLOAD names a scene of
+perfbench/scenes.py.  The scene's video is rendered once.  Both trees are
+imported in this process under distinct module names, and each follows the
+chain perfbench runs through ``thermobg.cli``: fit the history frames, then
+for each ``run`` call reload the model from its VIMM1 file (with an empty
+sample pool in exact mode) and stream that call's frames.  The stream frames
+go through the two trees' ``process_frame`` in alternating order, A first
+on one frame and B first on the next, each call timed on its own.  So a
+host whose speed drifts between runs slows both trees alike.
+
+For every repetition, and over all of them, prints each tree's per-frame
+median and summed ``process_frame`` time and the ratios B / A.  Exits 0 when
+both trees wrote the same final VIMM1 bytes in every repetition, 1 when
+they differ, and 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in THREAD_ENV:  # before numpy is imported: one thread does the work
+    os.environ[_name] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import numpy as np  # noqa: E402
+from checks import P_BG, THRESHOLD  # noqa: E402
+from scenes import MIN_BLOB, SCENES, render  # noqa: E402
+
+
+def load_tree(src, name):
+    """The package under ``src``/thermobg, imported as ``name``."""
+    package = os.path.join(os.path.abspath(src), "thermobg")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"),
+        submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Tree:
+    """One tree's pipeline over the scene, with its process_frame times."""
+
+    def __init__(self, pkg, scene, frames, work):
+        self.pkg, self.scene, self.work = pkg, scene, work
+        self.times = []
+        history = pkg.FrameSequence(frames[:scene.history],
+                                    intensity_levels=scene.levels)
+        cfg = pkg.FitConfig(k_max=scene.kmax, history_len=scene.history,
+                            rng_seed=0)
+        self.model = os.path.join(work, "fitted.vimm")
+        pkg.save_grid(pkg.initialize_grid(history, cfg), self.model)
+        self.grid = None
+
+    def start_run(self) -> None:
+        """What ``run`` does before its first frame."""
+        pkg = self.pkg
+        seg = pkg.SegmentationConfig(p_bg=P_BG, decision_threshold=THRESHOLD,
+                                     min_blob_area=MIN_BLOB, connectivity=8)
+        self.grid = pkg.load_grid(
+            self.model, adapt_config=pkg.AdaptationConfig(mode=self.scene.mode),
+            seg_config=seg)
+        if self.scene.mode == "exact":
+            self.grid.pool = pkg.SamplePool(
+                self.grid.width * self.grid.height,
+                self.grid.fit_config.history_len)
+
+    def frame(self, frame) -> None:
+        t0 = time.perf_counter()
+        self.pkg.process_frame(self.grid, frame)
+        self.times.append(time.perf_counter() - t0)
+
+    def end_run(self, j: int) -> None:
+        self.model = os.path.join(self.work, f"run{j}.vimm")
+        self.pkg.save_grid(self.grid, self.model)
+
+    def final_bytes(self) -> bytes:
+        with open(self.model, "rb") as fh:
+            return fh.read()
+
+
+def stream(trees, scene, frames) -> None:
+    stream_frames = frames[scene.history:]
+    for j in range(scene.runs):
+        for tree in trees:
+            tree.start_run()
+        for t in range(j * scene.segment, (j + 1) * scene.segment):
+            order = trees if t % 2 == 0 else trees[::-1]
+            for tree in order:
+                tree.frame(stream_frames[t])
+        for tree in trees:
+            tree.end_run(j)
+
+
+def summary(label, times_a, times_b) -> str:
+    med_a, med_b = statistics.median(times_a), statistics.median(times_b)
+    sum_a, sum_b = sum(times_a), sum(times_b)
+    return (f"{label}: median A {med_a * 1e3:.3f} ms, B {med_b * 1e3:.3f} ms, "
+            f"B/A {med_b / med_a:.3f}; summed A {sum_a:.3f} s, "
+            f"B {sum_b:.3f} s, B/A {sum_b / sum_a:.3f}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src_a")
+    ap.add_argument("src_b")
+    ap.add_argument("workload", choices=sorted(SCENES))
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--reps", type=int, default=3)
+    args = ap.parse_args(argv)
+    for src in (args.src_a, args.src_b):
+        if not os.path.isfile(os.path.join(src, "thermobg", "__init__.py")):
+            ap.error(f"no thermobg package under {src}")
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
+
+    scene = SCENES[args.workload]
+    frames = render(scene, args.seed)[0].astype(np.float64)
+    pkgs = [load_tree(args.src_a, "thermobg_a"),
+            load_tree(args.src_b, "thermobg_b")]
+    all_a, all_b, same = [], [], True
+    with tempfile.TemporaryDirectory(prefix="interleave_frames-") as work:
+        for rep in range(args.reps):
+            trees = []
+            for side, pkg in zip("ab", pkgs):
+                here = os.path.join(work, f"{rep}{side}")
+                os.makedirs(here)
+                trees.append(Tree(pkg, scene, frames, here))
+            stream(trees, scene, frames)
+            a, b = trees
+            print(summary(f"{scene.name} seed {args.seed} rep {rep}",
+                          a.times, b.times), flush=True)
+            all_a += a.times
+            all_b += b.times
+            if a.final_bytes() != b.final_bytes():
+                print(f"rep {rep}: final VIMM1 files differ")
+                same = False
+    print(summary(f"{scene.name} seed {args.seed} all {args.reps} reps",
+                  all_a, all_b))
+    print("final models identical" if same else "final models differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
