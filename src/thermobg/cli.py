@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
     _write_manifest(os.path.dirname(os.path.abspath(args.out)), "fit", args,
                     {"model": args.out, "histogram": {str(k): v for k, v in hist.items()},
                      "unconverged_pixels": grid.unconverged_pixels,
-                     **grid.fit_counts},
+                     **grid.fit_counts, **grid.fit_seconds},
                     time.perf_counter() - t0)
     if args.strict and grid.unconverged_pixels:
         return EXIT_NUMERICAL

@@ -48,6 +48,8 @@ class PixelGrid:
     unconverged_pixels: int = 0
     # totals over the fitted pixels: em_iters, death_trials, death_accepts
     fit_counts: dict[str, int] = field(default_factory=dict)
+    # seconds the fit spent in each of fit.FIT_STAGES
+    fit_seconds: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         n_pixels = self.width * self.height
@@ -106,7 +108,7 @@ def initialize_grid(history: FrameSequence, fit_config: FitConfig,
                      fit_config=fit_config, adapt_config=adapt_config,
                      seg_config=seg_config, pool=pool,
                      unconverged_pixels=int((~fitted.converged).sum()),
-                     fit_counts=counts)
+                     fit_counts=counts, fit_seconds=fitted.seconds)
 
 
 def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:

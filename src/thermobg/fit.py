@@ -24,7 +24,13 @@ pixel keeps its own schedule.  Three choices carry its speed:
   order, so it picks the same centres);
 * every sum runs in index order (``_seq_sum``), so the zeros that pad a
   block to its widest pixel leave each pixel's result unchanged: a pixel's
-  model does not depend on which pixels share its block.
+  model does not depend on which pixels share its block.  The order costs
+  one numpy call: reduced over an axis that is not the fast (last) one,
+  ``np.add.reduce`` adds whole trailing slices index by index; only where
+  nothing trails the axis does numpy pair terms up, and there the last
+  slice of ``np.cumsum``, which is sequential, stands in.  The E step lays
+  log rho out component-major for the same reason, so that its maximum and
+  its sum over components reduce the outermost axis.
 
 ``fit``, ``e_step``, ``m_step``, ``elbo``, ``kmeanspp_init`` and
 ``VariationalPosterior.drop`` are the one-pixel case of the same code;
@@ -34,6 +40,8 @@ pixel keeps its own schedule.  Three choices carry its speed:
 from __future__ import annotations
 
 import dataclasses
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +75,11 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 # Segments of a pixel's fit.
 _SHAPE, _DEAD, _CANDIDATE, _FINAL, _DONE = range(5)
+
+# The stages of a fit whose seconds FitRows.seconds records: the set-up
+# (levels, priors, k-means++ and the first M step), the E and M steps, and
+# the bound at segment ends.
+FIT_STAGES = ("kmeanspp_s", "em_s", "bound_s")
 
 
 @dataclass(frozen=True)
@@ -171,6 +184,7 @@ class FitRows:
     em_iters: np.ndarray       # (P,) EM iterations, rejected trials included
     death_trials: np.ndarray   # (P,) trial removals scored
     death_accepts: np.ndarray  # (P,) trial removals accepted
+    seconds: dict[str, float]  # time spent in each of FIT_STAGES
 
 
 def priors_rows(samples) -> Priors:
@@ -263,21 +277,24 @@ def e_step(post: VariationalPosterior, data) -> np.ndarray:
 
 def e_step_rows(post: VariationalPosterior, levels, k) -> np.ndarray:
     """e_step for a block: ``post`` holds (K, P) fields of which pixel p
-    uses the first k[p]; ``levels`` is (L, P).  Returns (L, K, P)
-    responsibilities, 0 for the unused components."""
+    uses the first k[p]; ``levels`` is (L, P).  Returns C-contiguous
+    (L, K, P) responsibilities, 0 for the unused components."""
     active = _active(post.n_components, k)
     ln_w = digamma(post.lambda_) - digamma(_masked_sum(post.lambda_, active))
     ln_tau = digamma(post.a) - np.log(post.b)
     base = np.where(active, ln_w + 0.5 * ln_tau - 0.5 / post.beta, -np.inf)
-    ln_rho = levels[:, None, :] - post.m
+    # Built component-major, (K, L, P), so that the maximum and the sum over
+    # components reduce axis 0, one whole (L, P) slice at a time.
+    ln_rho = np.subtract(levels, post.m[:, None, :], order="C")
     ln_rho *= ln_rho
-    ln_rho *= post.a / (2.0 * post.b)
-    np.subtract(base, ln_rho, out=ln_rho)
-    ln_rho -= ln_rho.max(axis=1, keepdims=True)
-    resp = np.exp(ln_rho, out=ln_rho)
-    denom = _seq_sum(resp, axis=1)
+    ln_rho *= (post.a / (2.0 * post.b))[:, None, :]
+    np.subtract(base[:, None, :], ln_rho, out=ln_rho)
+    ln_rho -= ln_rho.max(axis=0)
+    rho = np.exp(ln_rho, out=ln_rho)
+    denom = _seq_sum(rho, axis=0)
     assert np.all(denom > 0.0), "responsibility row collapsed to zero"
-    resp /= denom[:, None, :]
+    resp = np.empty((levels.shape[0], post.n_components, levels.shape[1]))
+    np.divide(rho.transpose(1, 0, 2), denom[:, None, :], out=resp)
     return resp
 
 
@@ -412,6 +429,7 @@ def fit_rows(samples, cfg: FitConfig, seeds, intensity_levels: int = 256,
     counts = {name: np.zeros(n_pixels, np.int64)
               for name in ("em_iters", "death_trials", "death_accepts")}
     converged = np.zeros(n_pixels, dtype=bool)
+    seconds = dict.fromkeys(FIT_STAGES, 0.0)
     for lo in range(0, n_pixels, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         block = _BlockFit(samples[rows], cfg, seeds[rows])
@@ -420,7 +438,9 @@ def fit_rows(samples, cfg: FitConfig, seeds, intensity_levels: int = 256,
         converged[rows] = block.converged
         for name, out in counts.items():
             out[rows] = getattr(block, name)
-    return FitRows(state=state, converged=converged, **counts)
+        for name in FIT_STAGES:
+            seconds[name] += block.seconds[name]
+    return FitRows(state=state, converged=converged, seconds=seconds, **counts)
 
 
 class _Levels:
@@ -533,13 +553,15 @@ class _BlockFit:
     weakest few one at a time), then final EM.  ``work`` is the posterior
     each pixel iterates on and ``accepted`` the one its last accepted
     segment left; both are (K_cap, P), pixel p using its first ``k[p]`` or
-    ``accepted_k[p]`` components in order.
+    ``accepted_k[p]`` components in order.  ``seconds`` accumulates the
+    time spent in each of FIT_STAGES.
     """
 
     def __init__(self, samples, cfg: FitConfig, seeds):
         samples = np.ascontiguousarray(samples, dtype=np.float64)
         if not np.all(np.isfinite(samples)):
             raise ValueError("fit samples must be finite")
+        t0 = time.perf_counter()
         n_rows, self.n = samples.shape
         self.cfg = cfg
         self.priors = priors_rows(samples)
@@ -560,6 +582,8 @@ class _BlockFit:
             self._put(rows, m_step_rows(resp, self.levels.values[:n_levels, rows],
                                         self.levels.counts[:n_levels, rows],
                                         self.priors.take(rows)))
+        self.seconds = dict.fromkeys(FIT_STAGES, 0.0)
+        self.seconds["kmeanspp_s"] = time.perf_counter() - t0
 
         def zeros(dtype=np.int64):
             return np.zeros(n_rows, dtype=dtype)
@@ -652,7 +676,9 @@ class _BlockFit:
         work = VariationalPosterior(**{
             name: getattr(self.work, name)[:n_comp, rows]
             for name in _PARAMS})
+        t0 = time.perf_counter()
         post = m_step_rows(e_step_rows(work, values, k), values, counts, priors)
+        self.seconds["em_s"] += time.perf_counter() - t0
         active = _active(n_comp, k)
         w = post.lambda_ / _masked_sum(post.lambda_, active)
         delta = np.maximum(_max_rel_change(self.prev_m[:n_comp, rows], post.m,
@@ -671,7 +697,9 @@ class _BlockFit:
         ended = VariationalPosterior(
             resp=post.resp[:, :, end],
             **{name: getattr(post, name)[:, end] for name in _FIELDS})
+        t0 = time.perf_counter()
         bound = elbo_rows(ended, counts[:, end], k[end], priors.take(end))
+        self.seconds["bound_s"] += time.perf_counter() - t0
         return rows[end], converged[end], bound
 
     def _end(self, rows, converged, bound) -> None:
@@ -790,19 +818,26 @@ class _BlockFit:
             self.bounds.append(bound)
 
 
-def _seq_sum(x, axis):
-    """Sum along ``axis`` in index order.
+def _seq_sum(x, axis: int):
+    """Sum along ``axis`` (non-negative) in index order, keeping the other
+    axes in their order.
 
     numpy's own sum groups terms by the axis length, so zeros padding a
     block to its widest pixel would change the last bits of the others;
-    added in order, a trailing zero leaves a sum unchanged.
+    added in order, a trailing zero leaves a sum unchanged.  Over an axis
+    that is not the last of a C-contiguous array, ``np.add.reduce`` is that
+    order: the iterator keeps the reduced axis outside the faster trailing
+    ones and adds whole trailing slices to the running total, one index
+    after the other.  Where nothing trails the axis (it is the last, or
+    only size-1 axes follow), the reduce would run along memory and pair
+    terms up, so the last slice of ``np.cumsum``, which is sequential, is
+    taken instead.  Other layouts are copied to C order first, since the
+    iterator follows memory, not the index order of the axes.
     """
-    if axis:
-        x = x.swapaxes(0, axis)
-    total = x[0].copy()
-    for part in x[1:]:
-        total += part
-    return total
+    x = np.ascontiguousarray(x)
+    if math.prod(x.shape[axis + 1:]) > 1:
+        return np.add.reduce(x, axis=axis)
+    return np.cumsum(x, axis=axis).take(-1, axis=axis)
 
 
 def _masked_sum(x, active):

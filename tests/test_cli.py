@@ -11,7 +11,7 @@ from thermobg import cli
 from thermobg.adapt import AdaptationConfig
 from thermobg.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from thermobg.engine import load_grid
-from thermobg.fit import FitConfig, fit
+from thermobg.fit import FIT_STAGES, FitConfig, fit
 from thermobg.frameio import read_mask, read_pgm_sequence, write_pgm
 from thermobg.synth import (GaussianSpec, adaptation_demo_specs,
                             gen_mixture_samples)
@@ -137,6 +137,15 @@ class TestFit:
                                                     for r in results)
         assert min(r.death_trials for r in results) > 0
         assert "workers_env" not in manifest and "default_workers" not in manifest
+
+    def test_manifest_times_the_fit_stages(self, tmp_path):
+        video = write_video(tmp_path / "video", HISTORY)
+        assert main(fit_argv(video, tmp_path / "model.vimm")) == EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        seconds = [manifest["outputs"][name] for name in FIT_STAGES]
+        assert min(seconds) >= 0.0
+        assert seconds[FIT_STAGES.index("em_s")] > 0.0
+        assert sum(seconds) <= manifest["elapsed_sec"]
 
     def test_manifest_records_the_argv_given_to_main(self, tmp_path):
         video = write_video(tmp_path / "video", HISTORY)

@@ -1,4 +1,4 @@
-"""Time two thermobg source trees frame by frame in one process.
+"""Time two thermobg source trees fit by fit and frame by frame in one process.
 
     python3 tools/interleave_frames.py SRC_A SRC_B WORKLOAD [--seed S] [--reps R]
 
@@ -8,15 +8,18 @@ perfbench/scenes.py.  The scene's video is rendered once.  Both trees are
 imported in this process under distinct module names, and each follows the
 chain perfbench runs through ``thermobg.cli``: fit the history frames, then
 for each ``run`` call reload the model from its VIMM1 file (with an empty
-sample pool in exact mode) and stream that call's frames.  The stream frames
-go through the two trees' ``process_frame`` in alternating order, A first
-on one frame and B first on the next, each call timed on its own.  So a
-host whose speed drifts between runs slows both trees alike.
+sample pool in exact mode) and stream that call's frames.  Each repetition
+times both trees' ``initialize_grid``, A first on even repetitions and B
+first on odd ones.  The stream frames go through the two trees'
+``process_frame`` in alternating order, A first on one frame and B first on
+the next, each call timed on its own.  So a host whose speed drifts between
+runs slows both trees alike.
 
-For every repetition, and over all of them, prints each tree's per-frame
-median and summed ``process_frame`` time and the ratios B / A.  Exits 0 when
-both trees wrote the same final VIMM1 bytes in every repetition, 1 when
-they differ, and 2 on a usage error.
+For every repetition prints each tree's fit time and ``process_frame``
+median and sum, with the ratios B / A; over all repetitions, the fit
+medians and the per-frame figures.  Exits 0 when both trees wrote the same
+fitted and final VIMM1 bytes in every repetition, 1 when they differ, and 2
+on a usage error.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def load_tree(src, name):
 
 
 class Tree:
-    """One tree's pipeline over the scene, with its process_frame times."""
+    """One tree's pipeline over the scene, with its initialize_grid and
+    process_frame times."""
 
     def __init__(self, pkg, scene, frames, work):
         self.pkg, self.scene, self.work = pkg, scene, work
@@ -64,8 +68,12 @@ class Tree:
                                     intensity_levels=scene.levels)
         cfg = pkg.FitConfig(k_max=scene.kmax, history_len=scene.history,
                             rng_seed=0)
-        self.model = os.path.join(work, "fitted.vimm")
-        pkg.save_grid(pkg.initialize_grid(history, cfg), self.model)
+        t0 = time.perf_counter()
+        grid = pkg.initialize_grid(history, cfg)
+        self.fit_s = time.perf_counter() - t0
+        self.fitted = os.path.join(work, "fitted.vimm")
+        pkg.save_grid(grid, self.fitted)
+        self.model = self.fitted
         self.grid = None
 
     def start_run(self) -> None:
@@ -90,9 +98,13 @@ class Tree:
         self.model = os.path.join(self.work, f"run{j}.vimm")
         self.pkg.save_grid(self.grid, self.model)
 
-    def final_bytes(self) -> bytes:
-        with open(self.model, "rb") as fh:
-            return fh.read()
+    def model_bytes(self) -> tuple[bytes, bytes]:
+        """The fitted and the final VIMM1 files."""
+        out = []
+        for path in (self.fitted, self.model):
+            with open(path, "rb") as fh:
+                out.append(fh.read())
+        return tuple(out)
 
 
 def stream(trees, scene, frames) -> None:
@@ -108,10 +120,13 @@ def stream(trees, scene, frames) -> None:
             tree.end_run(j)
 
 
-def summary(label, times_a, times_b) -> str:
+def summary(label, fits_a, fits_b, times_a, times_b) -> str:
+    fit_a, fit_b = statistics.median(fits_a), statistics.median(fits_b)
     med_a, med_b = statistics.median(times_a), statistics.median(times_b)
     sum_a, sum_b = sum(times_a), sum(times_b)
-    return (f"{label}: median A {med_a * 1e3:.3f} ms, B {med_b * 1e3:.3f} ms, "
+    return (f"{label}: fit{' median' if len(fits_a) > 1 else ''} "
+            f"A {fit_a:.3f} s, B {fit_b:.3f} s, B/A {fit_b / fit_a:.3f}; "
+            f"frame median A {med_a * 1e3:.3f} ms, B {med_b * 1e3:.3f} ms, "
             f"B/A {med_b / med_a:.3f}; summed A {sum_a:.3f} s, "
             f"B {sum_b:.3f} s, B/A {sum_b / sum_a:.3f}")
 
@@ -134,26 +149,31 @@ def main(argv=None) -> int:
     frames = render(scene, args.seed)[0].astype(np.float64)
     pkgs = [load_tree(args.src_a, "thermobg_a"),
             load_tree(args.src_b, "thermobg_b")]
-    all_a, all_b, same = [], [], True
+    fits_a, fits_b, all_a, all_b, same = [], [], [], [], True
     with tempfile.TemporaryDirectory(prefix="interleave_frames-") as work:
         for rep in range(args.reps):
-            trees = []
-            for side, pkg in zip("ab", pkgs):
+            sides = list(zip("ab", pkgs))
+            trees = {}
+            for side, pkg in sides if rep % 2 == 0 else sides[::-1]:
                 here = os.path.join(work, f"{rep}{side}")
                 os.makedirs(here)
-                trees.append(Tree(pkg, scene, frames, here))
-            stream(trees, scene, frames)
-            a, b = trees
+                trees[side] = Tree(pkg, scene, frames, here)
+            a, b = trees["a"], trees["b"]
+            stream([a, b], scene, frames)
             print(summary(f"{scene.name} seed {args.seed} rep {rep}",
-                          a.times, b.times), flush=True)
+                          [a.fit_s], [b.fit_s], a.times, b.times), flush=True)
+            fits_a.append(a.fit_s)
+            fits_b.append(b.fit_s)
             all_a += a.times
             all_b += b.times
-            if a.final_bytes() != b.final_bytes():
-                print(f"rep {rep}: final VIMM1 files differ")
-                same = False
+            for what, bytes_a, bytes_b in zip(("fitted", "final"),
+                                              a.model_bytes(), b.model_bytes()):
+                if bytes_a != bytes_b:
+                    print(f"rep {rep}: {what} VIMM1 files differ")
+                    same = False
     print(summary(f"{scene.name} seed {args.seed} all {args.reps} reps",
-                  all_a, all_b))
-    print("final models identical" if same else "final models differ")
+                  fits_a, fits_b, all_a, all_b))
+    print("fitted and final models identical" if same else "models differ")
     return 0 if same else 1
 
 
