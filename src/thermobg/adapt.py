@@ -41,12 +41,11 @@ _MODE_ALIASES = {
 # memory-efficient mode's eps grid ends at this many standard deviations
 EPSILON_MAX_SIGMAS = 6.0
 
-# epsilon grid points (plus stored samples, in exact-history mode) that one
-# vectorised pass holds; larger grids are split into row ranges.  Passes of
-# at most 128 KiB float64 temporaries reuse the allocator's heap instead of
-# mapping fresh pages: on 16x16 exact-mode frames (about 37000 points) this
-# size was faster and kept a lower peak RSS than one pass of 1 << 17.
-_CHUNK_POINTS = 1 << 14
+# bytes of each float64 temporary of one vectorised eps pass: a row takes 8
+# per grid point, plus 8 per stored sample slot in exact-history mode, and
+# a frame whose rows take more is split into ranges of whole rows.  Each
+# 16x16 frame of the gray8-exact benchmark takes one pass.
+_PASS_BYTES = 1 << 18
 
 # integer samples below this magnitude span less than 2**52, so they, their
 # differences and their sums with any eps of the grid are exact in float64
@@ -87,6 +86,12 @@ class SamplePool:
     holds its oldest sample.  Slots not yet filled hold NaN, so full and
     partly filled pools are read alike: fmax and fmin skip NaN, a sort puts
     it last, and it fails every comparison.
+
+    ``off_grid[p]`` counts pixel p's stored samples that are not integers
+    below 2**51 in magnitude, kept up to date by every method here, so the
+    exact eps search need not rescan the samples each frame to pick its
+    kernel.  Code that writes ``samples`` or ``pushed`` directly calls
+    ``recount`` afterwards.
     """
 
     def __init__(self, n_pixels: int, maxlen: int):
@@ -94,6 +99,7 @@ class SamplePool:
             raise ValueError("pool length must be positive")
         self.samples = np.full((n_pixels, maxlen), np.nan)
         self.pushed = np.zeros(n_pixels, dtype=np.int64)
+        self.off_grid = np.zeros(n_pixels, dtype=np.int64)
 
     @classmethod
     def from_history(cls, history, maxlen: int) -> "SamplePool":
@@ -103,6 +109,7 @@ class SamplePool:
         kept = history[max(0, history.shape[0] - maxlen):]
         pool.samples[:, :kept.shape[0]] = kept.T
         pool.pushed[:] = kept.shape[0]
+        pool.recount()
         return pool
 
     @property
@@ -117,10 +124,26 @@ class SamplePool:
     def count(self) -> np.ndarray:
         return np.minimum(self.pushed, self.maxlen)
 
+    def recount(self) -> None:
+        """Derive ``off_grid`` from the stored samples, in ranges of rows
+        whose temporaries stay within _PASS_BYTES."""
+        count = self.count
+        step = max(1, _PASS_BYTES // (8 * self.maxlen))
+        self.off_grid = np.empty(self.n_pixels, dtype=np.int64)
+        for lo in range(0, self.n_pixels, step):
+            rows = slice(lo, lo + step)
+            stored = np.arange(self.maxlen) < count[rows, None]
+            self.off_grid[rows] = np.count_nonzero(
+                stored & _off_grid(self.samples[rows]), axis=1)
+
     def push(self, x) -> None:
         """Store x[p] as pixel p's newest sample, dropping its oldest when
         the buffer is full."""
-        self.samples[np.arange(self.n_pixels), self.pushed % self.maxlen] = x
+        x = np.asarray(x, dtype=np.float64)
+        at = (np.arange(self.n_pixels), self.pushed % self.maxlen)
+        dropped = (self.pushed >= self.maxlen) & _off_grid(self.samples[at])
+        self.off_grid = self.off_grid - dropped + _off_grid(x)
+        self.samples[at] = x
         self.pushed = self.pushed + 1
 
     def values(self, p: int) -> list[float]:
@@ -134,12 +157,14 @@ class SamplePool:
         pool = SamplePool(0, self.maxlen)
         pool.samples = self.samples[rows]
         pool.pushed = self.pushed[rows]
+        pool.off_grid = self.off_grid[rows]
         return pool
 
     def put(self, rows, other: "SamplePool") -> None:
         """Overwrite the given pixel rows with the rows of ``other``."""
         self.samples[rows] = other.samples
         self.pushed[rows] = other.pushed
+        self.off_grid[rows] = other.off_grid
 
 
 @dataclass(frozen=True)
@@ -229,8 +254,8 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
     rows = np.flatnonzero(n_eps > 0)
     if rows.size == 0:
         return eps, p, log_p
-    integer = _integer_levels(samples, count, x, top, bottom)
-    for lo, hi in _row_chunks((n_eps + pool.maxlen)[rows], _CHUNK_POINTS):
+    integer = _integer_levels(pool, x)
+    for lo, hi in _row_chunks(8 * (n_eps + pool.maxlen)[rows], _PASS_BYTES):
         r = rows[lo:hi]
         if r[-1] - r[0] == r.size - 1:
             r = slice(r[0], r[-1] + 1)  # a view of the pool, not a copy
@@ -241,18 +266,18 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
     return eps, p, log_p
 
 
-def _integer_levels(samples, count, x, top, bottom) -> bool:
+def _integer_levels(pool: SamplePool, x) -> bool:
     """Whether x and all stored samples are integers below _EXACT_BELOW in
-    magnitude, as 8- and 16-bit frames deliver them, given the pools'
-    extremes top and bottom.  Judged on the samples themselves, never on
-    |v - x|: see _exact_chunk.  NaN slots are no integers (NaN == NaN
-    fails), so all count.sum() stored samples must pass."""
-    return bool(np.fmax.reduce(top) < _EXACT_BELOW
-                and np.fmin.reduce(bottom) > -_EXACT_BELOW
-                and np.all(np.floor(x) == x)
-                and np.fmax.reduce(np.abs(x)) < _EXACT_BELOW
-                and np.count_nonzero(np.floor(samples) == samples)
-                == count.sum())
+    magnitude, as 8- and 16-bit frames deliver them.  Judged on the samples
+    themselves, never on |v - x| (see _exact_chunk), through the pool's
+    per-pixel count of the others."""
+    return not (pool.off_grid.any() or _off_grid(x).any())
+
+
+def _off_grid(values) -> np.ndarray:
+    """Where values are not integers below _EXACT_BELOW in magnitude (NaN
+    included: NaN == NaN fails)."""
+    return ~((np.floor(values) == values) & (np.abs(values) < _EXACT_BELOW))
 
 
 def _window_lower_bound(samples, x, count, n_eps):
@@ -446,7 +471,7 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig,
     eps = np.ones(x.size, dtype=np.int64)
     log_p = np.full(x.size, -np.inf)
     live = np.flatnonzero(n_eps > 0)
-    for lo, hi in _row_chunks(n_eps[live], _CHUNK_POINTS):
+    for lo, hi in _row_chunks(8 * n_eps[live], _PASS_BYTES):
         rows = live[lo:hi]
         eps[rows], log_p[rows] = _approx_chunk(
             log_w[rows], mu[rows], sigma[rows], x[rows], n_eps[rows])

@@ -6,7 +6,8 @@ the synthetic experiments / render scenario videos) and ``bench`` (streaming
 throughput).  Every command with a seed is bit-reproducible across runs; each
 writes a manifest of its arguments next to its outputs.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure
+Exit codes: 0 success, 1 usage, 2 data error (including an input or
+output file that cannot be read or written), 3 numerical failure
 (unconverged fit under --strict).
 """
 
@@ -28,8 +29,8 @@ from .core import MixtureModel, MixtureState, mixture_density
 from .engine import (ModelFormatError, PixelGrid, initialize_grid, load_grid,
                      process_frame, save_grid)
 from .fit import FitConfig, fit
-from .frameio import (FrameFormatError, FrameSequence, read_pgm, write_mask,
-                      write_posterior)
+from .frameio import (FrameFormatError, FrameSequence, ForkedWriter, read_pgm,
+                      write_mask, write_pgm, write_posterior)
 from .metrics import ConfusionCounts, accumulate, metrics
 from .segment import SegmentationConfig
 from .synth import (RNG_ALGORITHM, GaussianSpec, adaptation_demo_specs,
@@ -65,8 +66,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FrameFormatError, ModelFormatError, FileNotFoundError,
-            FileExistsError, NotADirectoryError, ValueError) as exc:
+    except (FrameFormatError, ModelFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -92,7 +92,12 @@ def _build_parser() -> _Parser:
                    help="fail with exit 3 when any pixel fit is unconverged")
     f.set_defaults(func=cmd_fit)
 
-    r = sub.add_parser("run", help="stream frames through a model")
+    r = sub.add_parser("run", help="stream frames through a model (a child "
+                                   "process writes the masks)",
+                       description="Stream frames through a model.  The mask "
+                                   "(and posterior) files are created by a "
+                                   "child process while the next frames "
+                                   "are processed.")
     _add_input_args(r)
     r.add_argument("--model", required=True, help="VIMM1 model file")
     r.add_argument("--outdir", required=True)
@@ -212,6 +217,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_run(args) -> int:
+    """Stream the frames through the model and save the updated model.
+
+    Once the inputs, the model and the output paths have been checked, a
+    child process is forked (frameio.ForkedWriter) that creates each
+    frame's mask and posterior files while the next frames are processed.
+    It is reaped before the model is saved, also when the loop fails, so no
+    process outlives the call, and a file that cannot be written leaves no
+    model."""
     t0 = time.perf_counter()
     seq, names = _load_frames(args)
     seg = SegmentationConfig(p_bg=args.pbg, decision_threshold=args.threshold,
@@ -233,11 +246,14 @@ def cmd_run(args) -> int:
     post_dir = os.path.join(args.outdir, "posterior")
     if args.save_posterior:
         os.makedirs(post_dir, exist_ok=True)
-    for i in range(seq.n_frames):
-        mask = process_frame(grid, seq.frames[i], update=not args.freeze)
-        write_mask(mask.labels, os.path.join(args.outdir, names[i]))
-        if args.save_posterior:
-            write_posterior(mask.posterior, os.path.join(post_dir, names[i]))
+    with ForkedWriter() as writer:
+        for i in range(seq.n_frames):
+            mask = process_frame(grid, seq.frames[i], update=not args.freeze)
+            write_mask(mask.labels, os.path.join(args.outdir, names[i]),
+                       writer)
+            if args.save_posterior:
+                write_posterior(mask.posterior,
+                                os.path.join(post_dir, names[i]), writer)
     save_grid(grid, out_model)
 
     elapsed = time.perf_counter() - t0
@@ -353,12 +369,12 @@ def cmd_synth_video(args) -> int:
     os.makedirs(frames_dir, exist_ok=True)
     os.makedirs(gt_dir, exist_ok=True)
     quant = quantize_frames(seq)
-    from .frameio import write_pgm
-    for t in range(seq.n_frames):
-        name = f"frame_{t:06d}.pgm"
-        write_pgm(quant[t], os.path.join(frames_dir, name),
-                  255 if scenario.levels <= 256 else 65535)
-        write_mask(gt[t], os.path.join(gt_dir, name))
+    maxval = 255 if scenario.levels <= 256 else 65535
+    with ForkedWriter() as writer:
+        for t in range(seq.n_frames):
+            name = f"frame_{t:06d}.pgm"
+            write_pgm(quant[t], os.path.join(frames_dir, name), maxval, writer)
+            write_mask(gt[t], os.path.join(gt_dir, name), writer)
     print(f"wrote {seq.n_frames} frames to {frames_dir} (gt in {gt_dir})")
     _write_manifest(args.outdir, "synth video", args,
                     {"frames": seq.n_frames, "rng": RNG_ALGORITHM,

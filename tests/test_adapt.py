@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
 from thermobg.adapt import (EPSILON_MAX_SIGMAS, AdaptationConfig, SamplePool,
-                            adapt, decide, epsilon_star_approx,
-                            epsilon_star_exact, match_component,
-                            spawn_component, update_matched)
+                            _integer_levels, adapt, decide,
+                            epsilon_star_approx, epsilon_star_exact,
+                            match_component, spawn_component, update_matched)
 from thermobg.core import MixtureModel
 
 PHI_HALF_MASS = 0.1914624612740131  # (2 Phi(0.5) - 1) / 2, mpmath
@@ -461,3 +463,49 @@ class TestSamplePool:
         rows = pool.take([2, 1])
         assert rows.values(0) == [3.0] and rows.values(1) == [5.0, 6.0]
         assert np.isnan(rows.samples[0, 1:]).all()
+
+
+# integers, integers next to 2**51, values at or beyond it, non-integers
+POOL_VALUES = st.one_of(
+    st.integers(-300, 300).map(float),
+    st.sampled_from([2.0 ** 51 - 1.0, -(2.0 ** 51 - 1.0), 2.0 ** 51,
+                     -2.0 ** 51, 2.0 ** 51 + 2.0, 2.0 ** 60, -1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v != int(v)))
+
+
+def off_grid_rescan(pool):
+    """Per pixel, its stored samples that are no integers below 2**51."""
+    return [sum(not (v.is_integer() and abs(v) < 2.0 ** 51)
+                for v in pool.values(p)) for p in range(pool.n_pixels)]
+
+
+class TestOffGridCount:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), pixels=st.integers(1, 4), maxlen=st.integers(1, 5))
+    def test_count_and_flag_equal_the_rescan(self, data, pixels, maxlen):
+        # after from_history, pushes that fill and wrap the rings, and
+        # take/put of rows, the maintained count is the rescan's, and so
+        # the integer flag is the one the stored samples give
+        depth = data.draw(st.integers(0, maxlen + 2))
+        history = data.draw(st.lists(st.lists(POOL_VALUES, min_size=pixels,
+                                              max_size=pixels),
+                                     min_size=depth, max_size=depth))
+        pool = (SamplePool.from_history(np.reshape(history, (depth, pixels)),
+                                        maxlen)
+                if depth else SamplePool(pixels, maxlen))
+        x = np.zeros(pixels)
+        for _ in range(data.draw(st.integers(1, 3 * maxlen + 3))):
+            if data.draw(st.booleans()):
+                pool.push(data.draw(st.lists(POOL_VALUES, min_size=pixels,
+                                             max_size=pixels)))
+            else:
+                rows = data.draw(st.permutations(range(pixels)))
+                part = pool.take(rows)
+                part.push(data.draw(st.lists(POOL_VALUES, min_size=pixels,
+                                             max_size=pixels)))
+                assert part.off_grid.tolist() == off_grid_rescan(part)
+                pool.put(rows, part)
+            want = off_grid_rescan(pool)
+            assert pool.off_grid.tolist() == want
+            assert _integer_levels(pool, x) == (sum(want) == 0)
+            assert not _integer_levels(pool, x + 0.5)

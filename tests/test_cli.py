@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import os
 import shutil
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 import scalar_reference as ref
 
 from thermobg import cli
-from thermobg.adapt import AdaptationConfig
+from thermobg.adapt import AdaptationConfig, SamplePool
 from thermobg.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from thermobg.engine import load_grid
 from thermobg.fit import FIT_STAGES, FitConfig, fit
-from thermobg.frameio import read_mask, read_pgm_sequence, write_pgm
+from thermobg.frameio import (encode_pgm, read_mask, read_pgm_sequence,
+                              write_pgm)
 from thermobg.synth import (GaussianSpec, adaptation_demo_specs,
-                            gen_mixture_samples)
+                            gen_mixture_samples, gen_video, load_scenario,
+                            quantize_frames)
 
 HISTORY = 12
 
@@ -36,6 +39,12 @@ def fit_argv(video, out, *extra):
 def run_argv(video, model, outdir, out_model, *extra):
     return ["run", "--input", str(video), "--model", str(model),
             "--outdir", str(outdir), "--out-model", str(out_model), *extra]
+
+
+def assert_no_child():
+    """No process started by the call is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def fitted_video(tmp_path, n_frames):
@@ -242,6 +251,64 @@ class TestRun:
         assert main(argv) == EXIT_DATA
         assert not list(out.glob("*.pgm"))
 
+    @pytest.mark.parametrize("mode", ["approx", "exact"])
+    def test_masks_and_posteriors_match_the_frames(self, tmp_path, mode):
+        # the writer process creates what the frame pass computed: the
+        # same run in this process, frame by frame, gives the same bytes
+        video, fitted = fitted_video(tmp_path, HISTORY + 6)
+        out = tmp_path / "out"
+        argv = run_argv(video, fitted, out, tmp_path / "m.vimm", "--mode",
+                        mode, "--save-posterior")
+        assert main(argv) == EXIT_OK
+        assert_no_child()
+        grid = load_grid(fitted, adapt_config=AdaptationConfig(mode=mode))
+        if mode == "exact":
+            grid.pool = SamplePool(6, grid.fit_config.history_len)
+        seq, paths = read_pgm_sequence(str(video))
+        for frame, path in zip(seq.frames, paths):
+            mask = cli.process_frame(grid, frame)
+            name = os.path.basename(path)
+            labels = np.where(mask.labels > 0, 255, 0).astype(np.uint8)
+            posterior = np.rint(mask.posterior * 65535.0).astype(np.uint16)
+            assert (out / name).read_bytes() == encode_pgm(labels)
+            assert (out / "posterior" / name).read_bytes() == \
+                encode_pgm(posterior)
+
+    def test_unwritable_mask_is_a_data_error(self, tmp_path, capsys):
+        # a directory where a mask goes: exit 2 naming the path, no model,
+        # and no process left behind
+        video, fitted = fitted_video(tmp_path, HISTORY + 2)
+        out = tmp_path / "out"
+        taken = out / f"frame_{HISTORY:04d}.pgm"
+        taken.mkdir(parents=True)
+        final = tmp_path / "final.vimm"
+        capsys.readouterr()
+        assert main(run_argv(video, fitted, out, final)) == EXIT_DATA
+        assert str(taken) in capsys.readouterr().err
+        assert not final.exists()
+        assert_no_child()
+
+    def test_failing_frame_leaves_earlier_masks_and_no_model(
+            self, tmp_path, monkeypatch):
+        video, fitted = fitted_video(tmp_path, HISTORY + 6)
+        process_frame = cli.process_frame
+        calls = []
+
+        def fails_at_frame_5(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 6:
+                raise RuntimeError("frame 5")
+            return process_frame(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "process_frame", fails_at_frame_5)
+        out, final = tmp_path / "out", tmp_path / "final.vimm"
+        with pytest.raises(RuntimeError, match="frame 5"):
+            main(run_argv(video, fitted, out, final))
+        assert_no_child()
+        names = sorted(p.name for p in video.glob("*.pgm"))
+        assert sorted(p.name for p in out.glob("*.pgm")) == names[:5]
+        assert not final.exists()
+
     def test_model_and_frame_size_mismatch_is_a_data_error(self, tmp_path):
         _, fitted = fitted_video(tmp_path, HISTORY)
         other = write_video(tmp_path / "other", 3, shape=(2, 2))
@@ -347,6 +414,15 @@ class TestSynth:
         assert frames.intensity_levels == 256 and frames.n_frames == 7
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"]["frames"] == 7
+        assert_no_child()
+        # byte for byte what the frames and masks encode to
+        seq, gt = gen_video(load_scenario(str(config)))
+        quant = quantize_frames(seq)
+        for t, name in enumerate(names):
+            assert (out / "frames" / name).read_bytes() == \
+                encode_pgm(quant[t], 255)
+            assert (out / "gt" / name).read_bytes() == encode_pgm(
+                np.where(gt[t] > 0, 255, 0).astype(np.uint8))
 
 
 class TestBench:

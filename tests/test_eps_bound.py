@@ -114,6 +114,7 @@ def exact_pool(kind, seed, pixels=240, n=40):
     pool.pushed[:] = rng.choice([n, 3 * n + 1, n // 2, 1], pixels)
     pool.pushed[-1] = 0
     pool.samples[np.arange(n) >= pool.count[:, None]] = np.nan
+    pool.recount()
     mu = base + sd * rng.normal(0.0, 1.0, pixels)
     var = sd * sd * rng.choice([1e-4, 0.05, 0.5, 1.0, 4.0], pixels)
     return pool, x, log_density_rows(mu, var, x)
@@ -170,6 +171,7 @@ class TestExactCut:
         pool.samples[:] = x[:, None] + (k - 0.5) * np.where(
             np.arange(n) % 2, 1.0, -1.0)
         pool.pushed[:] = n
+        pool.recount()
         full = epsilon_star_exact_rows(pool, x, EXACT)
         assert full[0].tolist() == [k] * pixels
         tie = full[2][0]
@@ -273,6 +275,7 @@ class TestExactKernels:
         assert {call[-1] for call in exact_calls} == {True}
         exact_calls.clear()
         pool.samples[3, 0] += 0.5
+        pool.recount()
         full = epsilon_star_exact_rows(pool, x, EXACT)
         assert {call[-1] for call in exact_calls} == {False}
         i = 3

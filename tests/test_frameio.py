@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from thermobg.frameio import (FrameFormatError, read_mask, read_pgm,
-                              read_pgm_sequence, read_raw_sequence, write_mask,
-                              write_pgm)
+from thermobg.frameio import (ForkedWriter, FrameFormatError, encode_pgm,
+                              read_mask, read_pgm, read_pgm_sequence,
+                              read_raw_sequence, write_mask, write_pgm,
+                              write_posterior)
 
 
 def frames_of(depth, n=3, height=4, width=5, seed=0):
@@ -13,6 +14,12 @@ def frames_of(depth, n=3, height=4, width=5, seed=0):
     top = 256 if depth == 8 else 65536
     return rng.integers(0, top, (n, height, width)).astype(
         np.uint8 if depth == 8 else np.uint16)
+
+
+def assert_no_child():
+    """The test process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def truncate(path, n_bytes):
@@ -57,6 +64,75 @@ class TestPgm:
         assert maxval == 255
         assert np.array_equal(raw, labels * 255)
         assert np.array_equal(read_mask(tmp_path / "m.pgm"), labels)
+
+
+    @pytest.mark.parametrize("depth", [8, 16])
+    def test_encode_gives_the_written_bytes(self, tmp_path, depth):
+        arr = frames_of(depth)[0]
+        write_pgm(arr, tmp_path / "f.pgm")
+        assert encode_pgm(arr) == (tmp_path / "f.pgm").read_bytes()
+        # the cast of a float array to the declared depth
+        maxval = 255 if depth == 8 else 65535
+        write_pgm(arr.astype(np.float64), tmp_path / "g.pgm", maxval)
+        assert encode_pgm(arr.astype(np.float64), maxval) == \
+            (tmp_path / "f.pgm").read_bytes()
+        assert (tmp_path / "g.pgm").read_bytes() == \
+            (tmp_path / "f.pgm").read_bytes()
+
+
+class TestForkedWriter:
+    def test_writes_what_the_process_itself_writes(self, tmp_path):
+        frames = frames_of(16)
+        here, child = tmp_path / "here", tmp_path / "child"
+        here.mkdir()
+        child.mkdir()
+        with ForkedWriter() as writer:
+            for t, arr in enumerate(frames):
+                for out, w in ((here, None), (child, writer)):
+                    write_pgm(arr, out / f"f{t}.pgm", None, w)
+                    write_mask(arr > 30000, out / f"m{t}.pgm", w)
+                    write_posterior(arr / 65535.0, out / f"p{t}.pgm", w)
+        assert_no_child()
+        names = sorted(p.name for p in here.iterdir())
+        assert len(names) == 3 * len(frames)
+        assert sorted(p.name for p in child.iterdir()) == names
+        for name in names:
+            assert (child / name).read_bytes() == (here / name).read_bytes()
+
+    def test_failed_file_raises_its_error_and_stops(self, tmp_path):
+        # a directory in a file's place: the child stops there and the
+        # parent raises IsADirectoryError for that path
+        (tmp_path / "b.pgm").mkdir()
+        writer = ForkedWriter()
+        with pytest.raises(IsADirectoryError) as info:
+            for name in ("a.pgm", "b.pgm", "c.pgm"):
+                writer.send(tmp_path / name, b"data")
+            writer.close()
+        assert info.value.filename == str(tmp_path / "b.pgm")
+        assert (tmp_path / "a.pgm").read_bytes() == b"data"
+        assert not (tmp_path / "c.pgm").exists()
+        writer.close()  # closing again does nothing
+        assert_no_child()
+
+    def test_send_after_the_child_stopped_raises(self, tmp_path):
+        # once the child has exited, a send that reaches the pipe raises
+        # the child's error, not BrokenPipeError
+        writer = ForkedWriter()
+        writer.send(tmp_path / "missing" / "a.pgm", b"data")
+        with pytest.raises(FileNotFoundError):
+            for _ in range(1000):  # more than the pipe and its buffer hold
+                writer.send(tmp_path / "b.pgm", bytes(1024))
+        assert_no_child()
+
+    def test_an_exception_in_the_block_is_kept(self, tmp_path):
+        (tmp_path / "a.pgm").mkdir()
+        with pytest.raises(KeyError):
+            with ForkedWriter() as writer:
+                writer.send(tmp_path / "a.pgm", b"data")
+                writer.send(tmp_path / "b.pgm", b"data")
+                raise KeyError("loop")
+        assert_no_child()
+        assert not (tmp_path / "b.pgm").exists()
 
 
 class TestRaw:
