@@ -11,6 +11,8 @@ cumulative distribution (memory-efficient mode, the default).
 The neighborhood half-width eps runs over the integers 1 .. top, where top is
 at least 1: ceil(EPSILON_MAX_SIGMAS sigma) of the matched component in
 memory-efficient mode, the ceiling of the pool's value range in exact mode.
+Exact mode counts a window's samples by a histogram of integer distances on
+integer frames, else by the comparisons with x +- eps that define the count.
 
 Every stage runs on all pixels of a grid at once: the ``*_rows`` functions
 take a MixtureState, a SamplePool or the matched components' parameters,
@@ -88,18 +90,17 @@ class SamplePool:
     it last, and it fails every comparison.
 
     ``off_grid[p]`` counts pixel p's stored samples that are not integers
-    below 2**51 in magnitude, kept up to date by every method here, so the
-    exact eps search need not rescan the samples each frame to pick its
-    kernel.  Code that writes ``samples`` or ``pushed`` directly calls
-    ``recount`` afterwards.
+    below 2**51 in magnitude, so the exact eps search need not rescan the
+    samples each frame to pick its kernel.  The three arrays are read-only
+    views: only the methods here write them, so the count never goes stale.
     """
 
     def __init__(self, n_pixels: int, maxlen: int):
         if maxlen < 1:
             raise ValueError("pool length must be positive")
-        self.samples = np.full((n_pixels, maxlen), np.nan)
-        self.pushed = np.zeros(n_pixels, dtype=np.int64)
-        self.off_grid = np.zeros(n_pixels, dtype=np.int64)
+        self._samples = np.full((n_pixels, maxlen), np.nan)
+        self._pushed = np.zeros(n_pixels, dtype=np.int64)
+        self._off_grid = np.zeros(n_pixels, dtype=np.int64)
 
     @classmethod
     def from_history(cls, history, maxlen: int) -> "SamplePool":
@@ -107,64 +108,86 @@ class SamplePool:
         history = np.asarray(history, dtype=np.float64)
         pool = cls(history.shape[1], maxlen)
         kept = history[max(0, history.shape[0] - maxlen):]
-        pool.samples[:, :kept.shape[0]] = kept.T
-        pool.pushed[:] = kept.shape[0]
-        pool.recount()
+        pool._samples[:, :kept.shape[0]] = kept.T
+        pool._pushed[:] = kept.shape[0]
+        pool._recount()
         return pool
+
+    @classmethod
+    def from_slots(cls, samples, pushed) -> "SamplePool":
+        """Pools holding a copy of the (P, N) slots ``samples``, where pixel
+        p has received ``pushed[p]`` samples; slots past its count turn NaN."""
+        samples = np.asarray(samples, dtype=np.float64)
+        pool = cls(*samples.shape)
+        pool._pushed[:] = pushed
+        stored = np.arange(pool.maxlen) < pool.count[:, None]
+        pool._samples[stored] = samples[stored]
+        pool._recount()
+        return pool
+
+    samples = property(lambda self: _read_only(self._samples))
+    pushed = property(lambda self: _read_only(self._pushed))
+    off_grid = property(lambda self: _read_only(self._off_grid))
 
     @property
     def n_pixels(self) -> int:
-        return self.pushed.size
+        return self._pushed.size
 
     @property
     def maxlen(self) -> int:
-        return self.samples.shape[1]
+        return self._samples.shape[1]
 
     @property
     def count(self) -> np.ndarray:
-        return np.minimum(self.pushed, self.maxlen)
+        return np.minimum(self._pushed, self.maxlen)
 
-    def recount(self) -> None:
+    def _recount(self) -> None:
         """Derive ``off_grid`` from the stored samples, in ranges of rows
         whose temporaries stay within _PASS_BYTES."""
         count = self.count
         step = max(1, _PASS_BYTES // (8 * self.maxlen))
-        self.off_grid = np.empty(self.n_pixels, dtype=np.int64)
+        self._off_grid = np.empty(self.n_pixels, dtype=np.int64)
         for lo in range(0, self.n_pixels, step):
             rows = slice(lo, lo + step)
             stored = np.arange(self.maxlen) < count[rows, None]
-            self.off_grid[rows] = np.count_nonzero(
-                stored & _off_grid(self.samples[rows]), axis=1)
+            self._off_grid[rows] = np.count_nonzero(
+                stored & _off_grid(self._samples[rows]), axis=1)
 
     def push(self, x) -> None:
         """Store x[p] as pixel p's newest sample, dropping its oldest when
         the buffer is full."""
         x = np.asarray(x, dtype=np.float64)
-        at = (np.arange(self.n_pixels), self.pushed % self.maxlen)
-        dropped = (self.pushed >= self.maxlen) & _off_grid(self.samples[at])
-        self.off_grid = self.off_grid - dropped + _off_grid(x)
-        self.samples[at] = x
-        self.pushed = self.pushed + 1
+        at = (np.arange(self.n_pixels), self._pushed % self.maxlen)
+        dropped = (self._pushed >= self.maxlen) & _off_grid(self._samples[at])
+        self._off_grid = self._off_grid - dropped + _off_grid(x)
+        self._samples[at] = x
+        self._pushed = self._pushed + 1
 
     def values(self, p: int) -> list[float]:
-        """Pixel p's stored samples, oldest first."""
-        if self.pushed[p] < self.maxlen:
-            return self.samples[p, :self.pushed[p]].tolist()
-        return np.roll(self.samples[p], -(self.pushed[p] % self.maxlen)).tolist()
+        """Pixel p's stored samples, oldest first: the slot after the
+        samples dropped so far holds the oldest."""
+        n = min(self._pushed[p], self.maxlen)
+        return np.roll(self._samples[p], n - self._pushed[p])[:n].tolist()
 
     def take(self, rows) -> "SamplePool":
         """A new pool holding copies of the given pixel rows."""
         pool = SamplePool(0, self.maxlen)
-        pool.samples = self.samples[rows]
-        pool.pushed = self.pushed[rows]
-        pool.off_grid = self.off_grid[rows]
+        pool._samples = self._samples[rows]
+        pool._pushed = self._pushed[rows]
+        pool._off_grid = self._off_grid[rows]
         return pool
 
     def put(self, rows, other: "SamplePool") -> None:
         """Overwrite the given pixel rows with the rows of ``other``."""
-        self.samples[rows] = other.samples
-        self.pushed[rows] = other.pushed
-        self.off_grid[rows] = other.off_grid
+        self._samples[rows] = other._samples
+        self._pushed[rows] = other._pushed
+        self._off_grid[rows] = other._off_grid
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -193,8 +216,7 @@ def match_component(model: MixtureModel, x: float) -> tuple[int, float]:
     return int(c[0]), math.sqrt(d2[0])
 
 
-def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
-                            log_density=-np.inf
+def epsilon_star_exact_rows(pool: SamplePool, x, log_density=-np.inf
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per pixel, maximize p(x; eps) = (N_eps / N) / (2 eps) over the
     integer eps grid, where N is the pixel's stored sample count and N_eps
@@ -212,8 +234,8 @@ def epsilon_star_exact_rows(pool: SamplePool, x, cfg: AdaptationConfig,
 
     A pixel's grid runs from 1 to the ceiling of its pool's value range;
     the smallest eps wins ties.  An empty neighborhood everywhere, or an
-    empty pool, yields (1, 0, -inf).  ``cfg`` is not read: the grid is
-    fixed.
+    empty pool, yields (1, 0, -inf).  _exact_chunk counts N_eps with an
+    integer histogram or with the comparisons of its definition.
 
     A window holds at most all N samples, so p(eps) <= 1 / (2 eps), and
     only a prefix of the grid is evaluated:
@@ -303,20 +325,15 @@ def _window_lower_bound(samples, x, count, n_eps):
 def _exact_chunk(samples, x, count, n_eps, integer):
     """epsilon_star_exact_rows on a range of rows with stored samples:
     (eps*, p) over their first n_eps grid points, from their (rows, N)
-    samples with NaN in the unfilled slots.  Both kernels below pass
-    through here; ``integer`` picks one for the whole frame.
+    samples with NaN in the unfilled slots; ``integer`` picks the kernel.
 
-    In exact arithmetic twice N_eps is the sum over the stored samples v of
-    [|v - x| <= eps] + [|v - x| < eps].  Each term is a step along the
-    grid; the kernels place every sample's steps in a histogram, one row of
-    bins per pixel, and read twice N_eps off its running sums.  A NaN slot
-    goes to its row's last bin, past the grid, where no sum reads it.
-    - _integer_twice, when x and every stored sample of the frame are
-      integers below 2**51 (_integer_levels): |v - x| is then an exact
-      integer d, so one histogram of d gives C(e) = #{d <= e} and
-      twice N_eps = C(eps) + C(eps - 1).
-    - _general_twice, for any other frame: the doubled axis and the
-      floating-point comparisons themselves near integer distances.
+    By definition twice N_eps is the sum over the stored samples v of
+    [v <= x + eps] + [v < x + eps] - [v < x - eps] - [v <= x - eps], with
+    x +- eps rounded to float64; a NaN slot fails all four comparisons.
+    _definition_twice evaluates that.  _integer_twice serves frames whose
+    x and stored samples are all integers below 2**51 (_integer_levels):
+    x +- eps and |v - x| are then exact, so one histogram of the integer
+    distances d gives C(e) = #{d <= e} and twice N_eps = C(eps) + C(eps - 1).
     Integrality is judged on the samples, never on |v - x|: with x = 1 and
     v = 1e-20, fl(x - v) = 1.0 looks like an integer distance, but v lies
     strictly inside the eps = 1 window and counts twice there, where the
@@ -326,7 +343,7 @@ def _exact_chunk(samples, x, count, n_eps, integer):
     starts = np.cumsum(n_eps) - n_eps
     grid = 1 + np.arange(point_row.size) - starts[point_row]
     twice = (_integer_twice(samples, x, n_eps, point_row) if integer
-             else _general_twice(samples, x, n_eps, point_row, grid))
+             else _definition_twice(samples, x, point_row, grid))
     p = 0.5 * twice / (count[point_row] * 2.0 * grid)
     best, p_best = _first_argmax(p, starts, point_row)
     return np.where(p_best > 0.0, grid[best], 1), p_best
@@ -357,75 +374,18 @@ def _integer_twice(samples, x, n_eps, point_row):
         - 2 * samples.shape[1] * point_row
 
 
-def _general_twice(samples, x, n_eps, point_row, grid):
-    """Twice N_eps at each grid point of any rows.
-
-    Twice N_eps at eps = eps_j is the sum over the stored samples v of
-    [v <= x + eps] + [v < x + eps] + [v >= x - eps] + [v > x - eps] - 2.
-    Each bracket is a step in j.  The steps are binned on the doubled axis
-    z = 2 eps, one row of bins per pixel, and summed along it.  In exact
-    arithmetic a sample's sum is [|v - x| <= eps] + [|v - x| < eps], with
-    steps at z = ceil(2 |v - x|) and floor(2 |v - x|) + 1.  The
-    floating-point comparisons agree with that whenever x +- eps and v - x
-    are exact, as for integer-valued samples and x below 2**51, or v - x is
-    far enough from every integer eps for rounding not to cross it.  The
-    four steps of any other sample are located with the floating-point
-    comparisons themselves.  "Far enough" is more than 2**-48 times a
-    bound on |v| + |x| + eps, well above the rounding of x +- eps and of
-    v - x.  A NaN slot is neither, and fmin sends both its steps to the
-    overflow bin.
-    """
-    n = samples.shape[1]
-    bins = 2 * n_eps + 2  # z = 0 .. 2 n_eps, then an overflow bin
-    row_first = np.cumsum(bins) - bins
-    values = samples.reshape(-1)
-    xv = np.repeat(x, n)
-    z_over = np.repeat(bins - 1, n).astype(np.float64)
-    t = values - xv
-    dist = 2.0 * np.abs(t)
-    x_exact = (x == np.floor(x)) & (np.abs(x) < _EXACT_BELOW)
-    closed = np.repeat(x_exact, n)
-    if x_exact.any():
-        closed &= ((values == np.floor(values))
-                   & (np.abs(values) < _EXACT_BELOW))
-    steps = [np.fmin(np.ceil(dist), z_over),
-             np.fmin(np.floor(dist) + 1.0, z_over)]
-    first = [np.repeat(row_first, n)] * len(steps)
-
-    mag = np.fmax.reduce(np.abs(samples), axis=1) + np.abs(x) + n_eps
-    slack = np.repeat(mag * 2.0 ** -48, n)
-    near = np.flatnonzero(~closed & (np.abs(t - np.rint(t)) <= slack))
-    twice_less = 0
-    if near.size:
-        for z in steps:
-            z[near] = z_over[near]
-        v, xs = values[near], xv[near]
-        limit = np.repeat(n_eps, n)[near]
-        up = v - xs - 1.0    # eps_j = 1 + j < v - x  <=>  j < up
-        down = xs - v - 1.0  # eps_j < x - v  <=>  j < down
-
-        def grid_at(j):
-            return (1 + j).astype(np.float64)
-
-        # [v <= x + eps_j] holds from the first j with x + eps_j < v false
-        # on, and so on for the other three brackets
-        searches = ((lambda j: xs + grid_at(j) < v, np.ceil(up)),
-                    (lambda j: xs + grid_at(j) <= v, np.floor(up) + 1.0),
-                    (lambda j: v < xs - grid_at(j), np.ceil(down)),
-                    (lambda j: v <= xs - grid_at(j), np.floor(down) + 1.0))
-        for holds, guess in searches:
-            j = _prefix_length(holds, guess, limit)
-            steps.append(np.minimum(2.0 * grid_at(j), z_over[near]))
-            first.append(first[0][near])
-        # a searched sample's four brackets still carry its -2
-        twice_less = 2 * np.bincount(near // n, minlength=n_eps.size)
-
-    n_bins = int(bins.sum())
-    hist = sum(np.bincount((z + f).astype(np.intp), minlength=n_bins)
-               for z, f in zip(steps, first))
-    running = np.cumsum(hist)
-    before = running[row_first] - hist[row_first] + twice_less
-    return running[row_first[point_row] + 2 * grid] - before[point_row]
+def _definition_twice(samples, x, point_row, grid):
+    """Twice N_eps at each grid point of any rows by the four comparisons,
+    in blocks of slots whose (block, points) temporaries stay within the
+    size of the (rows, N) samples, which the pass size already counts."""
+    hi, lo = x[point_row] + grid, x[point_row] - grid
+    block = max(1, samples.size // point_row.size)
+    twice = np.zeros(point_row.size, dtype=np.int64)
+    for first in range(0, samples.shape[1], block):
+        v = samples.T[first:first + block][:, point_row]
+        twice += ((v <= hi).astype(np.int8) + (v < hi) - (v < lo)
+                  - (v <= lo)).sum(axis=0)
+    return twice
 
 
 def epsilon_star_exact(samples, x: float,
@@ -436,12 +396,11 @@ def epsilon_star_exact(samples, x: float,
     if history.size == 0:
         raise ValueError("exact-history pool is empty")
     pool = SamplePool.from_history(history, history.size)
-    eps, p, log_p = epsilon_star_exact_rows(pool, [float(x)], cfg)
+    eps, p, log_p = epsilon_star_exact_rows(pool, [float(x)])
     return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
 
 
-def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig,
-                             log_density=-np.inf
+def epsilon_star_approx_rows(w, mu, var, x, log_density=-np.inf
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Memory-efficient neighborhood probability of each pixel's sample x
     via its matched component's (weight w, mean mu, variance var)
@@ -450,9 +409,9 @@ def epsilon_star_approx_rows(w, mu, var, x, cfg: AdaptationConfig,
         p~(x; eps) = w * (G(x + eps) - G(x - eps)) / (2 eps)
 
     maximized over the integer grid 1 .. max(1, ceil(EPSILON_MAX_SIGMAS *
-    sigma)).  Returns the arrays (eps*, p, log p); ``cfg`` is not read.
-    Computed in the log domain so far-tail samples keep a meaningful value
-    instead of underflowing to zero.
+    sigma)).  Returns the arrays (eps*, p, log p).  Computed in the log
+    domain so far-tail samples keep a meaningful value instead of
+    underflowing to zero.
 
     The window's mass is at most 1, so p~(eps) <= w / (2 eps).  Given
     ``log_density``, the matched component's log density log f(x) per
@@ -505,7 +464,7 @@ def epsilon_star_approx(model: MixtureModel, c: int, x: float,
     """epsilon_star_approx_rows for component c of one model."""
     eps, p, log_p = epsilon_star_approx_rows(
         [model.weights[c]], [model.means[c]], [model.variances[c]],
-        [float(x)], cfg)
+        [float(x)])
     return EpsilonResult(int(eps[0]), float(p[0]), float(log_p[0]))
 
 
@@ -684,10 +643,10 @@ def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
     mean, var = state.means[rows, c], state.variances[rows, c]
     log_f = log_density_rows(mean, var, x)
     if cfg.mode == MODE_EXACT:
-        eps, _, log_p = epsilon_star_exact_rows(pool, x, cfg, log_f)
+        eps, _, log_p = epsilon_star_exact_rows(pool, x, log_f)
     else:
         eps, _, log_p = epsilon_star_approx_rows(state.weights[rows, c], mean,
-                                                 var, x, cfg, log_f)
+                                                 var, x, log_f)
     matched = decide_rows(log_f, log_p)
     hit = np.flatnonzero(matched)
     miss = np.flatnonzero(~matched)
@@ -762,21 +721,6 @@ def _capped_length(n_eps, log_mass, log_ref):
         bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
     half = 0.5 * np.exp(bound)  # not NaN: fmin returned the cap for NaN
     return np.minimum(np.floor(half), n_eps).astype(np.int64)
-
-
-def _prefix_length(holds, guess, limit):
-    """Per element, the number of leading grid indices j = 0, 1, ... at
-    which holds(j) is true, capped at limit.  holds must be true on a
-    prefix of the grid; guess is an estimate that is corrected one index at
-    a time until both neighbours of the boundary agree with holds."""
-    k = np.clip(guess, 0, limit).astype(np.int64)
-    while True:
-        back = (k > 0) & ~holds(np.maximum(k - 1, 0))
-        ahead = (k < limit) & holds(np.minimum(k, limit - 1))
-        if not (back.any() or ahead.any()):
-            return k
-        k += ahead
-        k -= back
 
 
 def _first_argmax(values, starts, row):

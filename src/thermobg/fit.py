@@ -589,7 +589,6 @@ class _BlockFit:
             return np.zeros(n_rows, dtype=dtype)
 
         self.phase, self.it, self.cap = zeros(), zeros(), zeros()
-        self.prev_m = np.zeros((width, n_rows))
         self.prev_w = np.zeros((width, n_rows))
         self.current = zeros(np.float64)
         self.candidates = np.zeros((_TRIAL_CANDIDATES, n_rows), np.int64)
@@ -681,12 +680,10 @@ class _BlockFit:
         self.seconds["em_s"] += time.perf_counter() - t0
         active = _active(n_comp, k)
         w = post.lambda_ / _masked_sum(post.lambda_, active)
-        delta = np.maximum(_max_rel_change(self.prev_m[:n_comp, rows], post.m,
-                                           active),
+        delta = np.maximum(_max_rel_change(work.m, post.m, active),
                            _max_rel_change(self.prev_w[:n_comp, rows], w,
                                            active))
         self._put(rows, post)
-        self.prev_m[:n_comp, rows] = post.m
         self.prev_w[:n_comp, rows] = w
         self.it[rows] += 1
         self.em_iters[rows] += 1
@@ -803,7 +800,6 @@ class _BlockFit:
         self.it[rows] = 0
         self.cap[rows] = cap
         lam = self.work.lambda_[:, rows]
-        self.prev_m[:, rows] = self.work.m[:, rows]
         self.prev_w[:, rows] = lam / _masked_sum(
             lam, _active(lam.shape[0], self.k[rows]))
 

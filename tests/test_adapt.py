@@ -464,6 +464,30 @@ class TestSamplePool:
         assert rows.values(0) == [3.0] and rows.values(1) == [5.0, 6.0]
         assert np.isnan(rows.samples[0, 1:]).all()
 
+    def test_from_slots_copies_and_derives_the_rest(self):
+        # the slots past each pixel's count turn NaN, off_grid counts the
+        # stored non-integers, and the caller's array stays the caller's
+        slots = np.array([[1.0, 2.5, 7.0], [4.0, 5.5, 6.0]])
+        pool = SamplePool.from_slots(slots, [2, 4])
+        assert pool.values(0) == [1.0, 2.5]
+        assert np.isnan(pool.samples[0, 2])
+        assert pool.values(1) == [5.5, 6.0, 4.0]  # slot 1 is the oldest
+        assert pool.off_grid.tolist() == [1, 1]
+        slots[1, 1] = 5.0
+        assert pool.samples[1, 1] == 5.5 and pool.off_grid[1] == 1
+
+    def test_arrays_change_only_through_methods(self):
+        # a direct write would leave off_grid stale and pick the wrong
+        # eps kernel, so it raises
+        pool = SamplePool.from_history([[1.0, 2.0]], maxlen=3)
+        for name in ("samples", "pushed", "off_grid"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pool, name)[0] = 0
+            with pytest.raises(AttributeError):
+                setattr(pool, name, np.zeros_like(getattr(pool, name)))
+        pool.push([0.5, 3.0])
+        assert pool.values(0) == [1.0, 0.5] and pool.off_grid.tolist() == [1, 0]
+
 
 # integers, integers next to 2**51, values at or beyond it, non-integers
 POOL_VALUES = st.one_of(

@@ -15,8 +15,10 @@ import math
 import numpy as np
 import pytest
 import scalar_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermobg.adapt import (AdaptationConfig, SamplePool,
+from thermobg.adapt import (AdaptationConfig, SamplePool, _integer_levels,
                             epsilon_star_approx_rows, epsilon_star_exact_rows,
                             log_density_rows)
 from thermobg.core import MixtureModel
@@ -109,12 +111,9 @@ def exact_pool(kind, seed, pixels=240, n=40):
     x[pixels // 8:pixels // 4] = values[pixels // 8:pixels // 4, 0]
     if levels:
         values, x = np.rint(values), np.clip(np.rint(x), 0.0, top)
-    pool = SamplePool(pixels, n)
-    pool.samples[:] = values
-    pool.pushed[:] = rng.choice([n, 3 * n + 1, n // 2, 1], pixels)
-    pool.pushed[-1] = 0
-    pool.samples[np.arange(n) >= pool.count[:, None]] = np.nan
-    pool.recount()
+    pushed = rng.choice([n, 3 * n + 1, n // 2, 1], pixels)
+    pushed[-1] = 0
+    pool = SamplePool.from_slots(values, pushed)
     mu = base + sd * rng.normal(0.0, 1.0, pixels)
     var = sd * sd * rng.choice([1e-4, 0.05, 0.5, 1.0, 4.0], pixels)
     return pool, x, log_density_rows(mu, var, x)
@@ -130,7 +129,7 @@ class TestExactCut:
     @pytest.mark.parametrize("kind", [8, 16, "continuous"])
     def test_cut_keeps_decisions_and_misses(self, kind, points, exact_calls):
         pool, x, log_f = exact_pool(kind, seed=SEEDS[kind])
-        full = epsilon_star_exact_rows(pool, x, EXACT)
+        full = epsilon_star_exact_rows(pool, x)
         full_points = points()
         # integer levels take the integer kernel, and its points are counted
         assert {call[-1] for call in exact_calls} == {kind != "continuous"}
@@ -156,7 +155,7 @@ class TestExactCut:
         x_all = np.tile(x, times)
         tiled = repeat_pool(pool, times)
         full_all = tuple(np.tile(a, times) for a in full)
-        cut = epsilon_star_exact_rows(tiled, x_all, EXACT, log_refs)
+        cut = epsilon_star_exact_rows(tiled, x_all, log_refs)
         assert points() <= full_points * times
         assert_cut_keeps_decisions(full_all, cut, log_refs)
 
@@ -167,18 +166,16 @@ class TestExactCut:
         # eps = k, with p = 1 / (2 k) exactly the bound there
         n, pixels = 10, 3
         x = np.full(pixels, 5000.0)
-        pool = SamplePool(pixels, n)
-        pool.samples[:] = x[:, None] + (k - 0.5) * np.where(
-            np.arange(n) % 2, 1.0, -1.0)
-        pool.pushed[:] = n
-        pool.recount()
-        full = epsilon_star_exact_rows(pool, x, EXACT)
+        pool = SamplePool.from_slots(
+            x[:, None] + (k - 0.5) * np.where(np.arange(n) % 2, 1.0, -1.0),
+            np.full(pixels, n))
+        full = epsilon_star_exact_rows(pool, x)
         assert full[0].tolist() == [k] * pixels
         tie = full[2][0]
         assert tie == np.log(0.5 * (2.0 * n) / (n * 2.0 * k))
         log_f = np.array([tie, np.nextafter(tie, -np.inf),
                           np.nextafter(tie, np.inf)])
-        cut = epsilon_star_exact_rows(pool, x, EXACT, log_f)
+        cut = epsilon_star_exact_rows(pool, x, log_f)
         assert (log_f >= cut[2]).tolist() == [True, False, True]
         assert cut[0][1] == k and cut[1][1] == full[1][1]
 
@@ -191,7 +188,7 @@ class TestExactCut:
         values[:, 0] = 0.0
         pool = SamplePool.from_history(values.T, n)
         x = np.array([30001.0, 30040.0, 29900.0, 0.0])
-        full = epsilon_star_exact_rows(pool, x, EXACT)
+        full = epsilon_star_exact_rows(pool, x)
         assert 0 < points() < 2000
         for i in range(pixels):
             want = ref.epsilon_star_exact(values[i].tolist(), x[i], EXACT)
@@ -201,7 +198,7 @@ class TestExactCut:
         pool = SamplePool.from_history(np.full((5, 2), 10.0), 5)
         # f(x) > 1/2 = the bound at eps = 1: matched with no grid
         eps, p, log_p = epsilon_star_exact_rows(
-            pool, [10.0, 10.0], EXACT, np.log([0.6, 0.5]))
+            pool, [10.0, 10.0], np.log([0.6, 0.5]))
         assert points() == 1
         assert (eps[0], p[0], log_p[0]) == (1, 0.0, -np.inf)
         assert (eps[1], p[1]) == (1, 0.5)
@@ -225,8 +222,8 @@ def both_kernels(args):
 
 
 class TestExactKernels:
-    """The integer kernel against the general one, and the choice between
-    them."""
+    """The integer kernel against the general one (the definition's four
+    comparisons per stored sample), and the choice between them."""
 
     @pytest.mark.parametrize("kind", [8, 16])
     def test_integer_kernel_matches_general(self, kind, exact_calls):
@@ -245,8 +242,8 @@ class TestExactKernels:
             head = pool.take(np.arange(12))
             cases.append(kernel_rows(head, x[:12]))
         # and the calls the program makes, with and without a cut
-        epsilon_star_exact_rows(pool, x, EXACT)
-        epsilon_star_exact_rows(pool, x, EXACT, log_f)
+        epsilon_star_exact_rows(pool, x)
+        epsilon_star_exact_rows(pool, x, log_f)
         assert exact_calls and all(call[-1] for call in exact_calls)
         cases += [call[:-1] for call in exact_calls]
         for args in cases:
@@ -259,7 +256,7 @@ class TestExactKernels:
         # strictly inside the eps = 1 window around 1 and counts in full
         values = [1e-20, 1.0, 2.0, 3.0, 5.0]
         pool = SamplePool.from_history(np.array(values)[:, None], 5)
-        got = epsilon_star_exact_rows(pool, [1.0], EXACT)
+        got = epsilon_star_exact_rows(pool, [1.0])
         assert [call[-1] for call in exact_calls] == [False]
         want = ref.epsilon_star_exact(values, 1.0, EXACT)
         assert (int(got[0][0]), float(got[1][0])) == (want.epsilon, want.p)
@@ -271,16 +268,81 @@ class TestExactKernels:
     def test_one_continuous_pixel_sends_the_frame_to_the_general_path(
             self, exact_calls):
         pool, x, _ = exact_pool(8, seed=5)
-        epsilon_star_exact_rows(pool, x, EXACT)
+        epsilon_star_exact_rows(pool, x)
         assert {call[-1] for call in exact_calls} == {True}
         exact_calls.clear()
-        pool.samples[3, 0] += 0.5
-        pool.recount()
-        full = epsilon_star_exact_rows(pool, x, EXACT)
+        samples = pool.samples.copy()
+        samples[3, 0] += 0.5
+        pool = SamplePool.from_slots(samples, pool.pushed)
+        full = epsilon_star_exact_rows(pool, x)
         assert {call[-1] for call in exact_calls} == {False}
         i = 3
         want = ref.epsilon_star_exact(pool.values(i), float(x[i]), EXACT)
         assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p)
+
+
+def ulps_from(value, steps):
+    """value moved ``steps`` floats up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, math.copysign(math.inf, steps))
+    return float(value)
+
+
+@st.composite
+def rounding_pixel(draw, maxlen):
+    """x a few floats inside +-2**k, k <= 52, so never an integer below
+    2**51, and ``maxlen`` slots each a few floats from the rounded x + eps
+    or x - eps, where the float comparisons and exact arithmetic part;
+    pushed from 0 to past a wrapped ring."""
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    x = sign * ulps_from(2.0 ** draw(st.integers(1, 52)),
+                         -draw(st.integers(1, 3)))
+    slots = [ulps_from(x + draw(st.sampled_from([-1.0, 1.0]))
+                       * draw(st.integers(0, 4)), draw(st.integers(-3, 3)))
+             for _ in range(maxlen)]
+    return x, slots, draw(st.integers(0, 2 * maxlen + 1))
+
+
+def log_f_near(draw, log_p):
+    """A log density on or next to a cut-off: the full grid's log p*, the
+    bound 1 / (2 eps) at a small eps, or anywhere in between."""
+    edges = [-math.log(2.0 * eps) for eps in range(1, 5)]
+    if math.isfinite(log_p):
+        edges.append(log_p)
+    edge = draw(st.sampled_from(edges))
+    return draw(st.sampled_from([edge, np.nextafter(edge, -np.inf),
+                                 np.nextafter(edge, np.inf),
+                                 draw(st.floats(-6.0, 0.0))]))
+
+
+class TestDefinitionKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), pixels=st.integers(1, 4), maxlen=st.integers(1, 6))
+    def test_rounding_cases_match_the_reference_bit_for_bit(
+            self, data, pixels, maxlen):
+        drawn = [data.draw(rounding_pixel(maxlen)) for _ in range(pixels)]
+        x = np.array([d[0] for d in drawn])
+        pool = SamplePool.from_slots([d[1] for d in drawn],
+                                     [d[2] for d in drawn])
+        # a non-integer frame: the definition kernel counts every window
+        assert not _integer_levels(pool, x)
+        full = epsilon_star_exact_rows(pool, x)
+        for i in range(pixels):
+            if pool.count[i] == 0:
+                want = (1, (0.0).hex())
+            else:
+                r = ref.epsilon_star_exact(pool.values(i), x[i], EXACT)
+                want = (r.epsilon, r.p.hex())
+            assert (int(full[0][i]), float(full[1][i]).hex()) == want, i
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(full[2], np.log(full[1]))
+
+        log_f = np.array([log_f_near(data.draw, lp) for lp in full[2]])
+        cut = epsilon_star_exact_rows(pool, x, log_f)
+        matched = log_f >= full[2]
+        assert np.array_equal(log_f >= cut[2], matched)
+        for got, want in zip(cut, full):
+            assert np.array_equal(got[~matched], want[~matched])
 
 
 class TestApproxCut:
@@ -296,7 +358,7 @@ class TestApproxCut:
             [0.2, 1.0, 3.0, 50.0], rows)
         if levels:
             x = np.clip(np.rint(x), 0.0, levels - 1.0)
-        full = epsilon_star_approx_rows(w, mu, var, x, APPROX)
+        full = epsilon_star_approx_rows(w, mu, var, x)
         full_points = points()
         grid = 0
         for i in range(rows):
@@ -313,7 +375,7 @@ class TestApproxCut:
         log_refs = with_ties(log_f, full[2], bound)
         times = log_refs.size // rows
         cut = epsilon_star_approx_rows(*(np.tile(a, times) for a in (w, mu, var, x)),
-                                       APPROX, log_refs)
+                                       log_refs)
         assert points() <= full_points * times
         assert_cut_keeps_decisions(tuple(np.tile(a, times) for a in full),
                                    cut, log_refs)
@@ -324,11 +386,11 @@ class TestApproxCut:
         w = np.full(3, 0.3)
         mu = x = np.full(3, 700.0)
         var = np.full(3, 1e-4)
-        full = epsilon_star_approx_rows(w, mu, var, x, APPROX)
+        full = epsilon_star_approx_rows(w, mu, var, x)
         tie = full[2][0]
         assert tie == np.log(0.3) - np.log(2.0)
         log_f = np.array([tie, np.nextafter(tie, -np.inf),
                           np.nextafter(tie, np.inf)])
-        cut = epsilon_star_approx_rows(w, mu, var, x, APPROX, log_f)
+        cut = epsilon_star_approx_rows(w, mu, var, x, log_f)
         assert (log_f >= cut[2]).tolist() == [True, False, True]
         assert cut[0][1] == 1 and cut[2][1] == tie

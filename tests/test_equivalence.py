@@ -130,7 +130,7 @@ class TestEpsilonStar:
         values[nudge] = np.nextafter(values[nudge],
                                      values[nudge] + rng.choice([-1, 1], nudge.sum()))
         pool = SamplePool.from_history(values.T, n)
-        eps, p, log_p = epsilon_star_exact_rows(pool, x, cfg)
+        eps, p, log_p = epsilon_star_exact_rows(pool, x)
         for i in range(pixels):
             want = ref.epsilon_star_exact(values[i].tolist(), float(x[i]), cfg)
             assert (int(eps[i]), float(p[i])) == (want.epsilon, want.p), i
@@ -145,7 +145,7 @@ class TestEpsilonStar:
         var = rng.uniform(1e-4, 400.0, rows) ** rng.choice([1.0, 2.0], rows)
         x = mu + rng.normal(0.0, 1.0, rows) * np.sqrt(var) * rng.choice(
             [0.5, 3.0, 40.0], rows)
-        eps, p, log_p = epsilon_star_approx_rows(w, mu, var, x, cfg)
+        eps, p, log_p = epsilon_star_approx_rows(w, mu, var, x)
         for i in range(rows):
             m = MixtureModel([w[i]], [mu[i]], [var[i]], 100, 65536)
             want = ref.epsilon_star_approx(m, 0, float(x[i]), cfg)

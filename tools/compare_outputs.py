@@ -8,9 +8,11 @@ SRC_A and SRC_B are directories holding the ``thermobg`` package, such as the
 perfbench/scenes.py, the scene's video is rendered once.  Each tree then runs
 the chain perfbench runs through ``thermobg.cli``: ``fit``, then one
 ``run --save-posterior`` per stream segment, each continuing from the model
-the one before it saved.  Every command runs in a fresh single-thread
-process.  Every mask, posterior and VIMM1 model file of the two trees is
-then compared byte for byte.
+the one before it saved.  For every seed each tree also runs
+``synth update-demo`` in both adaptation modes, the one command whose
+exact mode gets non-integer samples.  Every command runs in a fresh
+single-thread process.  Every mask, posterior, VIMM1 model and CSV file of
+the two trees is then compared byte for byte.
 
 Exits 0 when all files are identical, 1 when any file differs or exists for
 one tree only, and 2 on a usage error or when a command fails.
@@ -19,6 +21,7 @@ one tree only, and 2 on a usage error or when a command fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
@@ -31,7 +34,7 @@ from checks import P_BG, THRESHOLD  # noqa: E402
 from scenes import MIN_BLOB, SCENES, frame_name, render, write_pgm  # noqa: E402
 
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-COMPARED = (".pgm", ".vimm")
+COMPARED = (".pgm", ".vimm", ".csv")
 
 
 def write_video(scene, seed, video) -> None:
@@ -62,6 +65,23 @@ def chain(scene, video, out):
                       "--min-blob", str(MIN_BLOB), "--connectivity", "8",
                       "--mode", scene.mode, "--save-posterior"])
     return calls
+
+
+def update_demos(seed, out):
+    """The argument lists of the update-demo calls, one per mode."""
+    return [["synth", "update-demo", "--seed", str(seed), "--mode", mode,
+             "--outdir", os.path.join(out, f"update-demo-{mode}")]
+            for mode in ("approx", "exact")]
+
+
+def cases(seed, work):
+    """(name, the calls given an output directory) of every scene, its
+    video rendered under ``work``, then of the update demos."""
+    for scene in SCENES.values():
+        video = os.path.join(work, f"{scene.name}-{seed}", "video")
+        write_video(scene, seed, video)
+        yield scene.name, functools.partial(chain, scene, video)
+    yield "update-demo", functools.partial(update_demos, seed)
 
 
 def run_tree(src, calls) -> None:
@@ -114,19 +134,17 @@ def main(argv=None) -> int:
     total, differ = 0, []
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as work:
         for seed in args.seeds:
-            for scene in SCENES.values():
-                here = os.path.join(work, f"{scene.name}-{seed}")
-                video = os.path.join(here, "video")
-                write_video(scene, seed, video)
+            for case, calls in cases(seed, work):
+                here = os.path.join(work, f"{case}-{seed}")
                 outs = [os.path.join(here, side) for side in ("a", "b")]
                 for src, out in zip((args.src_a, args.src_b), outs):
                     os.makedirs(out)
-                    run_tree(src, chain(scene, video, out))
+                    run_tree(src, calls(out))
                 n, bad = compare(*outs)
-                print(f"{scene.name} seed {seed}: {n} files, "
+                print(f"{case} seed {seed}: {n} files, "
                       f"{len(bad)} differ", flush=True)
                 total += n
-                differ += [f"{scene.name} seed {seed}: {name}" for name in bad]
+                differ += [f"{case} seed {seed}: {name}" for name in bad]
     for line in differ[:20]:
         print(f"differs: {line}")
     print(f"{total} files compared, {len(differ)} differ")
