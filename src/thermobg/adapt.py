@@ -5,8 +5,9 @@ then either absorbed by a following-the-leader parameter update, or a new
 component is spawned.  The match decision compares the matched component's
 density against the probability of observing the sample inside an optimal
 +-epsilon neighborhood; the neighborhood term is computed either from a
-stored sample pool (exact-history mode) or from the matched component's
-cumulative distribution (memory-efficient mode, the default).
+stored sample pool (exact-history mode, whenever a SamplePool is given) or
+from the matched component's cumulative distribution (memory-efficient mode,
+without one).
 
 The neighborhood half-width eps runs over the integers 1 .. top, where top is
 at least 1: ceil(EPSILON_MAX_SIGMAS sigma) of the matched component in
@@ -33,13 +34,6 @@ from .core import VARIANCE_FLOOR, MixtureModel, MixtureState
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-MODE_EXACT = "exact-history"
-MODE_APPROX = "memory-efficient"
-_MODE_ALIASES = {
-    "exact": MODE_EXACT, "exact-history": MODE_EXACT,
-    "approx": MODE_APPROX, "memory-efficient": MODE_APPROX,
-}
-
 # memory-efficient mode's eps grid ends at this many standard deviations
 EPSILON_MAX_SIGMAS = 6.0
 
@@ -62,20 +56,6 @@ _LOG_EPS_CAP = 700.0
 # fsum_rows is exact for row sums below 2**51 / K times the smallest weight;
 # weights of at least 1/N meet that up to this history length
 MAX_HISTORY_LEN = 1 << 25
-
-
-@dataclass
-class AdaptationConfig:
-    """Where the eps-neighborhood probability comes from: the stored samples
-    (MODE_EXACT, "exact") or the matched component's CDF (MODE_APPROX,
-    "approx", the default).  The eps grid itself is fixed."""
-
-    mode: str = MODE_APPROX
-
-    def __post_init__(self):
-        if self.mode not in _MODE_ALIASES:
-            raise ValueError(f"unknown adaptation mode {self.mode!r}")
-        self.mode = _MODE_ALIASES[self.mode]
 
 
 class SamplePool:
@@ -388,8 +368,7 @@ def _definition_twice(samples, x, point_row, grid):
     return twice
 
 
-def epsilon_star_exact(samples, x: float,
-                       cfg: AdaptationConfig) -> EpsilonResult:
+def epsilon_star_exact(samples, x: float) -> EpsilonResult:
     """epsilon_star_exact_rows for one pool, given as its nonempty sequence
     of samples."""
     history = np.asarray(samples, dtype=np.float64).reshape(-1, 1)
@@ -459,8 +438,8 @@ def _approx_chunk(log_w, mu, sigma, x, n_eps):
     return np.where(found, grid[best], 1).astype(np.int64), lp
 
 
-def epsilon_star_approx(model: MixtureModel, c: int, x: float,
-                        cfg: AdaptationConfig) -> EpsilonResult:
+def epsilon_star_approx(model: MixtureModel, c: int,
+                        x: float) -> EpsilonResult:
     """epsilon_star_approx_rows for component c of one model."""
     eps, p, log_p = epsilon_star_approx_rows(
         [model.weights[c]], [model.means[c]], [model.variances[c]],
@@ -617,7 +596,7 @@ def fsum_rows(values) -> np.ndarray:
     return high @ ones + (values - high) @ ones
 
 
-def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
+def adapt_rows(state: MixtureState, x,
                pool: SamplePool | None = None) -> np.ndarray:
     """One adaptation step for every pixel of the state, in place: match,
     take the matched component's log density log f(x), evaluate the
@@ -631,18 +610,17 @@ def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
     and eps* on every miss, are those of the full grid (see
     epsilon_star_exact_rows), so the models are too.
 
-    Exact-history mode reads the neighborhoods from ``pool`` and pushes x
-    into it afterwards; memory-efficient mode needs no stored samples.
+    Given a ``pool``, the step runs in exact-history mode: it reads the
+    neighborhoods from the pool and pushes x into it afterwards.  Without
+    one it runs in memory-efficient mode, which needs no stored samples.
     Every x must be finite.
     """
     x = np.asarray(x, dtype=np.float64)
-    if cfg.mode == MODE_EXACT and pool is None:
-        raise ValueError("exact-history mode requires a sample pool")
     c, _ = match_rows(state, x)
     rows = np.arange(state.n_pixels)
     mean, var = state.means[rows, c], state.variances[rows, c]
     log_f = log_density_rows(mean, var, x)
-    if cfg.mode == MODE_EXACT:
+    if pool is not None:
         eps, _, log_p = epsilon_star_exact_rows(pool, x, log_f)
     else:
         eps, _, log_p = epsilon_star_approx_rows(state.weights[rows, c], mean,
@@ -653,25 +631,22 @@ def adapt_rows(state: MixtureState, x, cfg: AdaptationConfig,
     update_matched_rows(state, hit, c[hit], x[hit])
     spawn_rows(state, miss, x[miss], eps[miss])
     prune_renormalize_rows(state)
-    if cfg.mode == MODE_EXACT:
+    if pool is not None:
         pool.push(x)
     return matched
 
 
-def adapt(model: MixtureModel, x: float, cfg: AdaptationConfig,
+def adapt(model: MixtureModel, x: float,
           pool: SamplePool | None = None) -> tuple[MixtureModel, bool]:
-    """adapt_rows for one model and a finite sample x; exact-history mode
-    reads and feeds ``pool``, a one-pixel SamplePool.  Like adapt_rows it
-    evaluates only the eps that can make the sample a miss, and returns the
-    full grid's model and matched flag."""
+    """adapt_rows for one model and a finite sample x; given ``pool``, a
+    one-pixel SamplePool, it runs in exact-history mode and feeds the pool.
+    Like adapt_rows it evaluates only the eps that can make the sample a
+    miss, and returns the full grid's model and matched flag."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"sample must be finite, got {x}")
-    if cfg.mode == MODE_EXACT and pool is None:
-        raise ValueError("exact-history mode requires a sample pool")
     state = MixtureState.from_models([model])
-    matched = adapt_rows(state, [x], cfg,
-                         pool if cfg.mode == MODE_EXACT else None)
+    matched = adapt_rows(state, [x], pool)
     return state.model(0), bool(matched[0])
 
 

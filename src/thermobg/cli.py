@@ -19,12 +19,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, frameio
-from .adapt import MODE_EXACT, AdaptationConfig, SamplePool, adapt_rows
+from .adapt import SamplePool, adapt_rows
 from .core import MixtureModel, MixtureState, mixture_density
 from .engine import (ModelFormatError, PixelGrid, initialize_grid, load_grid,
                      process_frame, save_grid)
@@ -188,8 +187,9 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    cfg = FitConfig(k_max=args.kmax, history_len=args.history,
-                    rng_seed=args.seed)
+    cfg = FitConfig(k_max=args.kmax, rng_seed=args.seed)
+    if args.history < 1:
+        raise ValueError(f"--history must be positive, got {args.history}")
     history, _ = _load_frames(args, limit=args.history)
     if history.n_frames < args.history:
         raise ValueError(f"need at least {args.history} frames for the "
@@ -230,15 +230,14 @@ def cmd_run(args) -> int:
     seg = SegmentationConfig(p_bg=args.pbg, decision_threshold=args.threshold,
                              min_blob_area=args.min_blob,
                              connectivity=args.connectivity)
-    adapt_cfg = AdaptationConfig(mode=args.mode)
-    grid = load_grid(args.model, adapt_config=adapt_cfg, seg_config=seg)
+    grid = load_grid(args.model, seg_config=seg)
     if (grid.width, grid.height) != (seq.width, seq.height):
         raise ValueError(
             f"model geometry {grid.width}x{grid.height} does not match "
             f"frames {seq.width}x{seq.height}")
-    if adapt_cfg.mode == MODE_EXACT:
+    if args.mode == "exact":
         grid.pool = SamplePool(grid.width * grid.height,
-                               grid.fit_config.history_len)
+                               grid.state.history_len)
 
     os.makedirs(args.outdir, exist_ok=True)
     out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
@@ -312,8 +311,7 @@ def cmd_synth_fit_demo(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     specs = fitting_demo_specs()
     data = gen_mixture_samples(specs, args.seed)
-    cfg = FitConfig(k_max=10, history_len=data.size, rng_seed=args.seed)
-    result = fit(data, cfg)
+    result = fit(data, FitConfig(k_max=10, rng_seed=args.seed))
     model = result.model
 
     _write_components_csv(os.path.join(args.outdir, "fit_demo_components.csv"),
@@ -333,18 +331,17 @@ def cmd_synth_update_demo(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     initial_specs, novel = adaptation_demo_specs()
     data = gen_mixture_samples(initial_specs, args.seed)
-    cfg = FitConfig(k_max=10, history_len=data.size, rng_seed=args.seed)
+    cfg = FitConfig(k_max=10, rng_seed=args.seed)
     state = MixtureState.from_models([fit(data, cfg).model])
 
-    adapt_cfg = AdaptationConfig(mode=args.mode)
     pool = SamplePool.from_history(data[:, None], data.size) \
-        if adapt_cfg.mode == MODE_EXACT else None
+        if args.mode == "exact" else None
     novel_samples = gen_mixture_samples(
         [GaussianSpec(novel.mean, novel.stddev, 50)], args.seed + 1)
 
     stages = [("t0", state.model(0))]
     for i, x in enumerate(novel_samples, start=1):
-        adapt_rows(state, [x], adapt_cfg, pool)
+        adapt_rows(state, [x], pool)
         if i == 25:
             stages.append(("t25", state.model(0)))
     stages.append(("t50", state.model(0)))
@@ -403,13 +400,10 @@ def cmd_bench(args) -> int:
 def _bench_one(width, height, args):
     n_pixels = width * height
     model = MixtureModel([0.7, 0.3], [16.0, 50.0], [2.25, 4.0], 100)
-    adapt_cfg = AdaptationConfig(mode=args.mode)
     grid = PixelGrid(width=width, height=height,
-                     state=MixtureState.from_models([model] * n_pixels),
-                     fit_config=FitConfig(), adapt_config=adapt_cfg,
-                     seg_config=SegmentationConfig())
+                     state=MixtureState.from_models([model] * n_pixels))
     # integer levels, as 8- and 16-bit frames deliver them
-    if adapt_cfg.mode == MODE_EXACT:
+    if args.mode == "exact":
         rng = np.random.default_rng(args.seed)
         grid.pool = SamplePool.from_history(
             np.rint(rng.normal(16.0, 1.5, (n_pixels, 100))).T, maxlen=100)

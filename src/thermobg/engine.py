@@ -1,21 +1,22 @@
 """Full-frame orchestration: one mixture model per pixel, batch
 initialization from a frame history, then streaming classify-and-adapt.
 
-The grid's models are one MixtureState (and, in exact-history mode, one
-SamplePool).  Fitting runs every pixel at once in one lock-step batch, and a
-pixel's model does not depend on the others; streaming runs each frame as
-one vectorised pass over all pixels.  In memory-efficient mode no sample
-history is kept anywhere.
+The grid's models are one MixtureState, which holds the history length N.
+A grid with a SamplePool streams in exact-history mode; one without streams
+in memory-efficient mode and keeps no sample history anywhere.  Fitting runs
+every pixel at once in one lock-step batch, and a pixel's model does not
+depend on the others; streaming runs each frame as one vectorised pass over
+all pixels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adapt import adapt  # noqa: F401  perfbench/pipeline.py wraps engine.adapt
-from .adapt import MODE_EXACT, AdaptationConfig, SamplePool, adapt_rows
+from .adapt import SamplePool, adapt_rows
 from .core import MixtureModel, MixtureState
 from .fit import fit  # noqa: F401  perfbench/pipeline.py wraps engine.fit
 from .fit import FitConfig, fit_rows
@@ -36,15 +37,14 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class PixelGrid:
-    """Row-major per-pixel model state plus the configuration bundle."""
+    """Row-major per-pixel model state, the segmentation settings and,
+    in exact-history mode, the sample pool."""
 
     width: int
     height: int
     state: MixtureState
-    fit_config: FitConfig
-    adapt_config: AdaptationConfig = field(default_factory=AdaptationConfig)
     seg_config: SegmentationConfig = field(default_factory=SegmentationConfig)
-    pool: SamplePool | None = None  # exact-history mode only
+    pool: SamplePool | None = None  # given: exact-history mode
     unconverged_pixels: int = 0
     # totals over the fitted pixels: em_iters, death_trials, death_accepts
     fit_counts: dict[str, int] = field(default_factory=dict)
@@ -68,45 +68,32 @@ class PixelGrid:
 
 
 def initialize_grid(history: FrameSequence, fit_config: FitConfig,
-                    adapt_config: AdaptationConfig | None = None,
                     seg_config: SegmentationConfig | None = None,
                     progress=None) -> PixelGrid:
-    """Fit every pixel's model from the first N frames.
+    """Fit every pixel's model from its N history frames.
 
     ``history`` is a FrameSequence, which carries the intensity depth the
-    models are fitted at; its frame count must equal fit_config.history_len.
-    Per-pixel RNG substreams are spawned from fit_config.rng_seed.
-    ``progress(n)`` is called as n more pixels finish.
+    models are fitted at; its frame count is N.  Per-pixel RNG substreams
+    are spawned from fit_config.rng_seed.  ``progress(n)`` is called as n
+    more pixels finish.  The grid has no sample pool; for exact-history
+    mode attach ``SamplePool.from_history(frames.reshape(N, -1), N)``.
     """
     if not isinstance(history, FrameSequence):
         raise TypeError(
             f"history must be a FrameSequence (it carries the intensity "
             f"depth), got {type(history).__name__}")
-    frames = history.frames
-    levels = history.intensity_levels
-    n_frames, height, width = frames.shape
-    if n_frames != fit_config.history_len:
-        raise ValueError(
-            f"history has {n_frames} frames but history_len is "
-            f"{fit_config.history_len}")
-
-    adapt_config = adapt_config or AdaptationConfig()
-    seg_config = seg_config or SegmentationConfig()
+    n_frames, height, width = history.frames.shape
     n_pixels = width * height
     seeds = [int(s.generate_state(1, dtype=np.uint64)[0]) for s in
              np.random.SeedSequence(fit_config.rng_seed).spawn(n_pixels)]
-    columns = frames.reshape(n_frames, n_pixels)
-    fitted = fit_rows(columns.T, fit_config, seeds, intensity_levels=levels,
+    columns = history.frames.reshape(n_frames, n_pixels)
+    fitted = fit_rows(columns.T, fit_config, seeds,
+                      intensity_levels=history.intensity_levels,
                       progress=progress)
-
-    pool = None
-    if adapt_config.mode == MODE_EXACT:
-        pool = SamplePool.from_history(columns, fit_config.history_len)
     counts = {name: int(getattr(fitted, name).sum())
               for name in ("em_iters", "death_trials", "death_accepts")}
     return PixelGrid(width=width, height=height, state=fitted.state,
-                     fit_config=fit_config, adapt_config=adapt_config,
-                     seg_config=seg_config, pool=pool,
+                     seg_config=seg_config or SegmentationConfig(),
                      unconverged_pixels=int((~fitted.converged).sum()),
                      fit_counts=counts, fit_seconds=fitted.seconds)
 
@@ -119,8 +106,8 @@ def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
     runs on the raw labels.  A non-finite sample is labelled foreground
     (posterior 0) and its pixel's model and pool are left untouched.
     Returns the filtered MaskFrame with the background posterior attached;
-    the grid state (and pool, in exact mode) is updated in place unless
-    ``update`` is False.
+    the grid state (and pool, if the grid has one) is updated in place
+    unless ``update`` is False.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (grid.height, grid.width):
@@ -141,12 +128,12 @@ def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
     mask = blob_filter(raw, grid.seg_config)
 
     if update and all_finite:
-        adapt_rows(grid.state, flat, grid.adapt_config, grid.pool)
+        adapt_rows(grid.state, flat, grid.pool)
     elif update:
         rows = np.flatnonzero(finite)
         state = grid.state.take(rows)
         pool = grid.pool.take(rows) if grid.pool is not None else None
-        adapt_rows(state, flat[rows], grid.adapt_config, pool)
+        adapt_rows(state, flat[rows], pool)
         grid.state.put(rows, state)
         if pool is not None:
             grid.pool.put(rows, pool)
@@ -156,13 +143,13 @@ def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
 def save_grid(grid: PixelGrid, path) -> None:
     """Write the grid's model state in the textual VIMM1 format.
 
-    Header ``VIMM1 <width> <height> <N> <levels>``, then one line per pixel
-    in row-major order: the component count followed by weight, mean and
-    variance triples, each printed with 17 significant digits so the
-    round-trip is bit-exact.
+    Header ``VIMM1 <width> <height> <N> <levels>`` with the state's N,
+    then one line per pixel in row-major order: the component count
+    followed by weight, mean and variance triples, each printed with 17
+    significant digits so the round-trip is bit-exact.
     """
     lines = [f"{_FORMAT_MAGIC} {grid.width} {grid.height} "
-             f"{grid.fit_config.history_len} {grid.intensity_levels}"]
+             f"{grid.state.history_len} {grid.intensity_levels}"]
     state = grid.state
     triples = np.stack([state.weights, state.means, state.variances],
                        axis=2).reshape(state.n_pixels, -1).tolist()
@@ -172,15 +159,14 @@ def save_grid(grid: PixelGrid, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_grid(path, fit_config: FitConfig | None = None,
-              adapt_config: AdaptationConfig | None = None,
-              seg_config: SegmentationConfig | None = None) -> PixelGrid:
-    """Read a VIMM1 model file back into a PixelGrid.
+def load_grid(path, seg_config: SegmentationConfig | None = None
+              ) -> PixelGrid:
+    """Read a VIMM1 model file back into a PixelGrid without a sample pool.
 
     Corrupt input raises ModelFormatError naming the offending pixel,
-    weights that do not sum to 1 or fall below 1/N included.
-    Configurations are not part of the format; absent ones get defaults
-    consistent with the stored history length.
+    weights that do not sum to 1 or fall below 1/N included.  The
+    segmentation settings are not part of the format; absent ones get the
+    defaults.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -225,14 +211,6 @@ def load_grid(path, fit_config: FitConfig | None = None,
             raise ModelFormatError(
                 f"pixel {idx} (line {idx + 2}): {exc}", pixel_index=idx) from exc
         models.append(model)
-
-    fit_config = fit_config or FitConfig(history_len=n_hist,
-                                         k_max=min(50, n_hist))
-    if fit_config.history_len != n_hist:
-        fit_config = replace(fit_config, history_len=n_hist,
-                             k_max=min(fit_config.k_max, n_hist))
     return PixelGrid(width=width, height=height,
                      state=MixtureState.from_models(models),
-                     fit_config=fit_config,
-                     adapt_config=adapt_config or AdaptationConfig(),
                      seg_config=seg_config or SegmentationConfig())

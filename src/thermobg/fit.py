@@ -106,16 +106,15 @@ class Priors:
 
 @dataclass
 class FitConfig:
+    """N comes from the samples: fit and fit_rows reject k_max > N."""
+
     k_max: int = 50
-    history_len: int = 100
     max_iters: int = 100  # iterations of the final EM segment, at most
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.k_max < 1 or self.history_len < 1 or self.max_iters < 1:
-            raise ValueError("k_max, history_len and max_iters must be positive")
-        if self.k_max > self.history_len:
-            raise ValueError("k_max must not exceed history_len")
+        if self.k_max < 1 or self.max_iters < 1:
+            raise ValueError("k_max and max_iters must be positive")
 
 
 @dataclass
@@ -389,13 +388,11 @@ def fit(data, cfg: FitConfig, intensity_levels: int = 256) -> FitResult:
     Pipeline: k-means++ partition -> EM shaping -> bound-guided component
     removal -> final EM until the relative change of every posterior mean and
     expected mixing weight drops below REL_TOL -> prune mixing
-    coefficients below 1/N -> export point estimates.  Deterministic for
-    fixed (data, cfg), and the one-pixel case of fit_rows.
+    coefficients below 1/N -> export point estimates.  N is the number of
+    samples.  Deterministic for fixed (data, cfg), and the one-pixel case
+    of fit_rows.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 1 or data.size != cfg.history_len:
-        raise ValueError(f"fit expects exactly history_len={cfg.history_len} "
-                         f"samples, got {data.size}")
+    data = _history(data, 1, cfg)
     block = _BlockFit(data[None, :], cfg, [cfg.rng_seed])
     block.run()
     return FitResult(model=block.state(intensity_levels).model(0),
@@ -413,19 +410,16 @@ def fit_rows(samples, cfg: FitConfig, seeds, intensity_levels: int = 256,
     """fit of each row of a (P, N) array, row p's k-means++ seeded by
     seeds[p], with every pixel's model bit-identical to fitting it alone.
 
-    Writes the models straight into a MixtureState.  ``progress(n)`` is
-    called as n more pixels finish.
+    Writes the models straight into a MixtureState of history length N.
+    ``progress(n)`` is called as n more pixels finish.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != cfg.history_len:
-        raise ValueError(f"fit_rows expects (pixels, history_len="
-                         f"{cfg.history_len}) samples, got {samples.shape}")
-    n_pixels = samples.shape[0]
+    samples = _history(samples, 2, cfg)
+    n_pixels, n = samples.shape
     if len(seeds) != n_pixels:
         raise ValueError("need one seed per pixel")
     state = MixtureState(np.zeros((n_pixels, 1)), np.zeros((n_pixels, 1)),
                          np.ones((n_pixels, 1)), np.ones(n_pixels, np.int64),
-                         cfg.history_len, intensity_levels)
+                         n, intensity_levels)
     counts = {name: np.zeros(n_pixels, np.int64)
               for name in ("em_iters", "death_trials", "death_accepts")}
     converged = np.zeros(n_pixels, dtype=bool)
@@ -441,6 +435,19 @@ def fit_rows(samples, cfg: FitConfig, seeds, intensity_levels: int = 256,
         for name in FIT_STAGES:
             seconds[name] += block.seconds[name]
     return FitRows(state=state, converged=converged, seconds=seconds, **counts)
+
+
+def _history(samples, ndim: int, cfg: FitConfig) -> np.ndarray:
+    """The samples as float64, checked to have ``ndim`` axes, the last of
+    which, the history length N, at least k_max long."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != ndim:
+        raise ValueError(f"expected {ndim}-D samples, got shape "
+                         f"{samples.shape}")
+    if cfg.k_max > samples.shape[-1]:
+        raise ValueError(f"k_max={cfg.k_max} exceeds the history length "
+                         f"N={samples.shape[-1]}")
+    return samples
 
 
 class _Levels:
@@ -589,7 +596,6 @@ class _BlockFit:
             return np.zeros(n_rows, dtype=dtype)
 
         self.phase, self.it, self.cap = zeros(), zeros(), zeros()
-        self.prev_w = np.zeros((width, n_rows))
         self.current = zeros(np.float64)
         self.candidates = np.zeros((_TRIAL_CANDIDATES, n_rows), np.int64)
         self.n_candidates, self.tried = zeros(), zeros()
@@ -633,8 +639,7 @@ class _BlockFit:
         if lost.any():
             nk = np.where(active, post.Nk, -np.inf)
             keep[:, lost] = (nk == nk.max(axis=0))[:, lost]
-        w = np.where(keep, post.lambda_ / _masked_sum(post.lambda_, active),
-                     0.0)
+        w = np.where(keep, _weights(post, active), 0.0)
         w /= _seq_sum(w, axis=0)
         variances = np.maximum(post.b / post.a, VARIANCE_FLOOR)
         k = keep.sum(axis=0)
@@ -679,12 +684,10 @@ class _BlockFit:
         post = m_step_rows(e_step_rows(work, values, k), values, counts, priors)
         self.seconds["em_s"] += time.perf_counter() - t0
         active = _active(n_comp, k)
-        w = post.lambda_ / _masked_sum(post.lambda_, active)
         delta = np.maximum(_max_rel_change(work.m, post.m, active),
-                           _max_rel_change(self.prev_w[:n_comp, rows], w,
-                                           active))
+                           _max_rel_change(_weights(work, active),
+                                           _weights(post, active), active))
         self._put(rows, post)
-        self.prev_w[:n_comp, rows] = w
         self.it[rows] += 1
         self.em_iters[rows] += 1
         converged = delta < REL_TOL
@@ -799,9 +802,6 @@ class _BlockFit:
         self.phase[rows] = phase
         self.it[rows] = 0
         self.cap[rows] = cap
-        lam = self.work.lambda_[:, rows]
-        self.prev_w[:, rows] = lam / _masked_sum(
-            lam, _active(lam.shape[0], self.k[rows]))
 
     def _put(self, rows, post: VariationalPosterior) -> None:
         n_comp = post.n_components
@@ -839,6 +839,11 @@ def _seq_sum(x, axis: int):
 def _masked_sum(x, active):
     """Sum over components (axis 0) of the active entries, in order."""
     return _seq_sum(np.where(active, x, 0.0), axis=0)
+
+
+def _weights(post: VariationalPosterior, active):
+    """The expected mixing weights of the active components."""
+    return post.lambda_ / _masked_sum(post.lambda_, active)
 
 
 def _active(width: int, k):

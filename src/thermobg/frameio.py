@@ -29,13 +29,11 @@ class FrameFormatError(ValueError):
 class FrameSequence:
     """Ordered frames of intensities with their quantization depth.
 
-    ``frames`` has shape (n_frames, height, width).  ``frame_rate`` is
-    carried as metadata only.
+    ``frames`` has shape (n_frames, height, width).
     """
 
     frames: np.ndarray
     intensity_levels: int = 256
-    frame_rate: float | None = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)

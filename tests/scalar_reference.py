@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from thermobg.adapt import MODE_EXACT, AdaptationConfig
 from thermobg.core import VARIANCE_FLOOR, MixtureModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# the eps grid, which AdaptationConfig set before it was fixed
+# the eps grid, which a configuration set before it was fixed
 EPSILON_MIN, EPSILON_STEP, EPSILON_MAX_SIGMAS = 1, 1, 6.0
 
 
@@ -88,7 +87,7 @@ def match_component(model: MixtureModel, x: float) -> tuple[int, float]:
     return best, math.sqrt(best_d2)
 
 
-def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
+def epsilon_star_exact(pool, x: float) -> EpsilonResult:
     """Maximize p(x; eps) = (N_eps / N) / (2 eps) over the integer eps grid,
     where N_eps counts stored samples within +-eps of x.
 
@@ -124,8 +123,8 @@ def epsilon_star_exact(pool, x: float, cfg: AdaptationConfig) -> EpsilonResult:
     return EpsilonResult(int(grid[best]), float(p[best]), math.log(p[best]))
 
 
-def epsilon_star_approx(model: MixtureModel, c: int, x: float,
-                        cfg: AdaptationConfig) -> EpsilonResult:
+def epsilon_star_approx(model: MixtureModel, c: int,
+                        x: float) -> EpsilonResult:
     """Memory-efficient neighborhood probability via the matched component's
     cumulative distribution:
 
@@ -215,29 +214,28 @@ def spawn_component(model: MixtureModel, x: float, eps_star: int) -> MixtureMode
     return _prune_renormalize(weights, means, variances, model)
 
 
-def adapt(model: MixtureModel, x: float, cfg: AdaptationConfig,
+def adapt(model: MixtureModel, x: float,
           pool: HistoryPool | None = None) -> tuple[MixtureModel, bool]:
     """Match, evaluate the eps-neighborhood probability, decide, update.
 
-    Exact-history mode reads the neighborhood from ``pool`` and pushes x into
-    it afterwards; memory-efficient mode needs no stored samples.
+    Given a ``pool``, exact-history mode reads the neighborhood from it and
+    pushes x into it afterwards; without one, memory-efficient mode needs no
+    stored samples.
     """
     x = float(x)
     c, _ = match_component(model, x)
-    if cfg.mode == MODE_EXACT:
-        if pool is None:
-            raise ValueError("exact-history mode requires a HistoryPool")
-        eps = (epsilon_star_exact(pool, x, cfg) if len(pool)
+    if pool is not None:
+        eps = (epsilon_star_exact(pool, x) if len(pool)
                else EpsilonResult(EPSILON_MIN, 0.0, -math.inf))
     else:
-        eps = epsilon_star_approx(model, c, x, cfg)
+        eps = epsilon_star_approx(model, c, x)
 
     matched = decide(model, c, x, eps.p, eps.log_p)
     if matched:
         out = update_matched(model, c, x)
     else:
         out = spawn_component(model, x, eps.epsilon)
-    if cfg.mode == MODE_EXACT and pool is not None:
+    if pool is not None:
         pool.push(x)
     return out, matched
 
@@ -260,10 +258,11 @@ def _prune_renormalize(weights, means, variances,
     )
 
 
-def stream_frame(models, pools, frame, seg_cfg, adapt_cfg):
+def stream_frame(models, pools, frame, seg_cfg):
     """One frame through the per-pixel loop of the former
     engine.process_frame, on one thread: the raw labels and posteriors;
-    ``models`` (and ``pools``, in exact mode) are updated in place."""
+    ``models`` (and ``pools``, which given select exact-history mode) are
+    updated in place."""
     flat = np.asarray(frame, dtype=np.float64).reshape(-1)
     posterior = np.empty(flat.size, dtype=np.float64)
     labels = np.empty(flat.size, dtype=np.uint8)
@@ -274,5 +273,5 @@ def stream_frame(models, pools, frame, seg_cfg, adapt_cfg):
         posterior[idx] = p
         labels[idx] = 0 if p >= seg_cfg.decision_threshold else 1
         pool = pools[idx] if pools is not None else None
-        models[idx], _ = adapt(model, x, adapt_cfg, pool)
+        models[idx], _ = adapt(model, x, pool)
     return labels, posterior

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
-from thermobg.adapt import (EPSILON_MAX_SIGMAS, AdaptationConfig, SamplePool,
-                            _integer_levels, adapt, decide,
-                            epsilon_star_approx, epsilon_star_exact,
-                            match_component, spawn_component, update_matched)
+from thermobg.adapt import (EPSILON_MAX_SIGMAS, SamplePool, _integer_levels,
+                            adapt, decide, epsilon_star_approx,
+                            epsilon_star_exact, match_component,
+                            spawn_component, update_matched)
 from thermobg.core import MixtureModel
 
 PHI_HALF_MASS = 0.1914624612740131  # (2 Phi(0.5) - 1) / 2, mpmath
@@ -51,17 +51,6 @@ def prune_time(w0, n):
     return t
 
 
-class TestConfig:
-    def test_mode_aliases(self):
-        assert AdaptationConfig(mode="exact").mode == "exact-history"
-        assert AdaptationConfig(mode="approx").mode == "memory-efficient"
-        assert AdaptationConfig().mode == "memory-efficient"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptationConfig(mode="bogus")
-
-
 class TestMatch:
     def test_exact_hit(self):
         m = model([0.3, 0.4, 0.3], [5.0, 20.0, 60.0], [1.0, 4.0, 9.0])
@@ -87,12 +76,12 @@ class TestMatch:
 
 class TestEpsilonExact:
     def test_identical_pool_picks_smallest_eps(self):
-        r = epsilon_star_exact([42.0] * 100, 42.0, AdaptationConfig())
+        r = epsilon_star_exact([42.0] * 100, 42.0)
         assert r.epsilon == 1
         assert r.p == pytest.approx(0.5)  # (100/100) / (2*1)
 
     def test_empty_neighborhood(self):
-        r = epsilon_star_exact([10.0] * 50, 500.0, AdaptationConfig())
+        r = epsilon_star_exact([10.0] * 50, 500.0)
         assert (r.epsilon, r.p) == (1, 0.0)
         assert r.log_p == -math.inf
 
@@ -100,13 +89,12 @@ class TestEpsilonExact:
         # continuous pools, then integer pools whose samples land on the
         # window boundary: a sample exactly eps from x counts one half
         rng = np.random.default_rng(17)
-        cfg = AdaptationConfig()
         cases = [(rng.normal(50.0, 2.0, 100), float(rng.uniform(44, 56)))
                  for _ in range(30)]
         cases += [(np.rint(rng.normal(50.0, 2.0, 100)),
                    float(rng.integers(44, 57))) for _ in range(30)]
         for values, x in cases:
-            got = epsilon_star_exact(values, x, cfg)
+            got = epsilon_star_exact(values, x)
 
             top = max(1, math.ceil(values.max() - values.min()))
             best = None
@@ -121,30 +109,28 @@ class TestEpsilonExact:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            epsilon_star_exact([], 1.0, AdaptationConfig())
+            epsilon_star_exact([], 1.0)
 
 
 class TestEpsilonApprox:
     def test_at_mode_smallest_eps(self):
         m = model([1.0], [50.0], [4.0])
-        r = epsilon_star_approx(m, 0, 50.0, AdaptationConfig())
+        r = epsilon_star_approx(m, 0, 50.0)
         assert r.epsilon == 1
         assert r.p == pytest.approx(PHI_HALF_MASS, abs=1e-12)
 
     def test_weight_scales_linearly(self):
-        a = epsilon_star_approx(model([1.0], [50.0], [4.0]), 0, 50.0,
-                                AdaptationConfig())
+        a = epsilon_star_approx(model([1.0], [50.0], [4.0]), 0, 50.0)
         b = epsilon_star_approx(model([0.25, 0.75], [50.0, 500.0], [4.0, 4.0]),
-                                0, 50.0, AdaptationConfig())
+                                0, 50.0)
         assert b.p == pytest.approx(0.25 * a.p, rel=1e-12)
 
     def test_matches_grid_oracle_in_tail(self):
-        cfg = AdaptationConfig()
         for sigma, offset in [(2.0, 5.0), (1.0, 5.0), (3.0, 2.5)]:
             var = sigma * sigma
             m = model([0.8, 0.2], [100.0, 400.0], [var, 1.0])
             x = 100.0 + offset * sigma
-            got = epsilon_star_approx(m, 0, x, cfg)
+            got = epsilon_star_approx(m, 0, x)
 
             top = max(1, math.ceil(EPSILON_MAX_SIGMAS * sigma))
             best = None
@@ -159,7 +145,7 @@ class TestEpsilonApprox:
 
     def test_far_tail_keeps_finite_log(self):
         m = model([1.0], [0.0], [1.0])
-        r = epsilon_star_approx(m, 0, 60.0, AdaptationConfig())
+        r = epsilon_star_approx(m, 0, 60.0)
         assert r.p == 0.0  # underflows linearly
         assert math.isfinite(r.log_p)  # but stays ordered in the log domain
 
@@ -167,12 +153,11 @@ class TestEpsilonApprox:
 class TestDecide:
     def test_at_mode_always_matched(self):
         rng = np.random.default_rng(23)
-        cfg = AdaptationConfig()
         for _ in range(100):
             w = float(rng.uniform(0.01, 1.0))
             sigma = float(rng.uniform(0.1, 20.0))
             m = model([w, 1.0 - w], [50.0, 1000.0], [sigma ** 2, 1.0])
-            r = epsilon_star_approx(m, 0, 50.0, cfg)
+            r = epsilon_star_approx(m, 0, 50.0)
             assert decide(m, 0, 50.0, r.p, r.log_p)
 
     def test_zero_probability_matches_any_positive_density(self):
@@ -183,13 +168,12 @@ class TestDecide:
         # approx mode, 60 sigma out: both sides underflow linearly but the
         # window mass dominates the point density in the log domain
         m = model([1.0], [0.0], [1.0])
-        r = epsilon_star_approx(m, 0, 60.0, AdaptationConfig())
+        r = epsilon_star_approx(m, 0, 60.0)
         assert not decide(m, 0, 60.0, r.p, r.log_p)
 
     def test_exact_pool_mass_beats_underflowed_density(self):
-        cfg = AdaptationConfig(mode="exact")
         m = model([1.0], [0.0], [0.01])
-        r = epsilon_star_exact([200.0] * 100, 200.0, cfg)
+        r = epsilon_star_exact([200.0] * 100, 200.0)
         assert r.p > 0.0
         assert not decide(m, 0, 200.0, r.p, r.log_p)
 
@@ -288,17 +272,15 @@ class TestSpawn:
 
 class TestAdapt:
     def test_mode_sample_never_spawns(self):
-        cfg = AdaptationConfig()
         m = model([0.7, 0.3], [16.0, 50.0], [2.25, 4.0], n=100)
         for _ in range(200):
-            m, matched = adapt(m, 16.0, cfg)
+            m, matched = adapt(m, 16.0)
             assert matched
         assert m.n_components == 2
 
     def test_novel_intensity_spawns_component(self):
-        cfg = AdaptationConfig()
         m = model([0.5, 0.5], [16.0, 50.0], [2.25, 4.0], n=100)
-        m2, matched = adapt(m, 200.0, cfg)
+        m2, matched = adapt(m, 200.0)
         assert not matched
         assert m2.n_components == 3
         assert 200.0 in m2.means
@@ -306,11 +288,10 @@ class TestAdapt:
     def test_exact_mode_uses_and_feeds_pool(self):
         # the pool renders the model on integer intensities, as 8- and 16-bit
         # frames feed it: the rounded 100-quantiles of N(16, 1.5^2)
-        cfg = AdaptationConfig(mode="exact")
         quantiles = norm.ppf((np.arange(100) + 0.5) / 100, 16.0, 1.5)
         pool = pool_of(np.rint(quantiles), 100)
         m = model([1.0], [16.0], [2.25], n=100)
-        _, matched = adapt(m, 16.0, cfg, pool)
+        _, matched = adapt(m, 16.0, pool)
         assert matched
         assert pool.count[0] == 100  # ring buffer stays at capacity
         assert pool.values(0)[-1] == 16.0
@@ -318,41 +299,34 @@ class TestAdapt:
         # p = 0.5 > N(16 | 16, 2.25) = 0.266 and spawns, while memory-efficient
         # mode matches the same sample
         piled = pool_of(np.full(100, 16.0), 100)
-        assert not adapt(m, 16.0, cfg, piled)[1]
-        assert adapt(m, 16.0, AdaptationConfig())[1]
+        assert not adapt(m, 16.0, piled)[1]
+        assert adapt(m, 16.0)[1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         m = model([1.0], [16.0], [2.25])
         with pytest.raises(ValueError, match="finite"):
-            adapt(m, bad, AdaptationConfig())
+            adapt(m, bad)
         pool = pool_of([16.0] * 10, 10)
         with pytest.raises(ValueError, match="finite"):
-            adapt(m, bad, AdaptationConfig(mode="exact"), pool)
+            adapt(m, bad, pool)
         assert pool.values(0) == [16.0] * 10
 
-    def test_exact_mode_requires_pool(self):
-        with pytest.raises(ValueError):
-            adapt(model([1.0], [16.0], [2.25]), 16.0,
-                  AdaptationConfig(mode="exact"))
-
     def test_weight_conservation_over_stream(self):
-        cfg = AdaptationConfig()
         rng = np.random.default_rng(41)
         m = model([0.6, 0.4], [16.0, 50.0], [2.25, 4.0], n=100)
         for x in rng.normal(16.0, 1.5, 500):
-            m, _ = adapt(m, float(x), cfg)
+            m, _ = adapt(m, float(x))
             assert abs(math.fsum(m.weights) - 1.0) < 1e-9
 
     def test_unmatched_spawn_then_decay_and_prune(self):
-        cfg = AdaptationConfig()
         for n in (7, 50, 100, 256):
             m = model([1.0], [16.0], [2.25], n=n)
-            m, matched = adapt(m, 200.0, cfg)
+            m, matched = adapt(m, 200.0)
             assert not matched and m.n_components == 2
             t_star = prune_time(m.weights[-1], n)
             for t in range(1, t_star + 1):
-                m, _ = adapt(m, 16.0, cfg)
+                m, _ = adapt(m, 16.0)
                 if t < t_star:
                     assert m.n_components == 2, f"N={n}: pruned early at t={t}"
             assert m.n_components == 1, f"N={n}: not pruned at t={t_star}"
@@ -378,7 +352,6 @@ class TestAdapt:
         # within 6 standard errors, 6 / sqrt(trials).
         alpha = 1e-3
         rng = np.random.default_rng(47)
-        cfg = AdaptationConfig()
         n = 400
         trials = 400
         failures = []
@@ -391,8 +364,8 @@ class TestAdapt:
             m = model([1.0], [mu], [var], n=n)
             values = rng.normal(mu, sigma, n)
             x = float(mu + rng.uniform(-3.0, 3.0) * sigma)
-            pe = epsilon_star_exact(values, x, cfg)
-            pa = epsilon_star_approx(m, 0, x, cfg)
+            pe = epsilon_star_exact(values, x)
+            pa = epsilon_star_approx(m, 0, x)
 
             n_eps = max(math.ceil(values.max() - values.min()),
                         math.ceil(EPSILON_MAX_SIGMAS * sigma))

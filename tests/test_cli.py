@@ -9,7 +9,7 @@ import pytest
 import scalar_reference as ref
 
 from thermobg import cli
-from thermobg.adapt import AdaptationConfig, SamplePool
+from thermobg.adapt import SamplePool
 from thermobg.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from thermobg.engine import load_grid
 from thermobg.fit import FIT_STAGES, FitConfig, fit
@@ -134,7 +134,7 @@ class TestFit:
         seeds = np.random.SeedSequence(0).spawn(2)
         results = [
             fit(frames[:, 0, i],
-                FitConfig(k_max=6, history_len=HISTORY,
+                FitConfig(k_max=6,
                           rng_seed=int(seeds[i].generate_state(1, np.uint64)[0])),
                 intensity_levels=65536)
             for i in range(2)]
@@ -170,6 +170,17 @@ class TestFit:
         assert main(fit_argv(video, out)) == EXIT_OK
         assert load_grid(out).width == 3
         assert (out.parent / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("history, kmax", [(50, 60), (0, 2), (-1, 2)])
+    def test_kmax_above_the_history_is_a_data_error(self, tmp_path, history,
+                                                    kmax):
+        video = write_video(tmp_path / "video", 60)
+        out = tmp_path / "m.vimm"
+        argv = fit_argv(video, out)
+        argv[argv.index("--history") + 1] = str(history)
+        argv[argv.index("--kmax") + 1] = str(kmax)
+        assert main(argv) == EXIT_DATA
+        assert not out.exists()
 
     def test_model_path_under_a_file_is_a_data_error(self, tmp_path):
         video = write_video(tmp_path / "video", HISTORY)
@@ -261,9 +272,9 @@ class TestRun:
                         mode, "--save-posterior")
         assert main(argv) == EXIT_OK
         assert_no_child()
-        grid = load_grid(fitted, adapt_config=AdaptationConfig(mode=mode))
+        grid = load_grid(fitted)
         if mode == "exact":
-            grid.pool = SamplePool(6, grid.fit_config.history_len)
+            grid.pool = SamplePool(6, grid.state.history_len)
         seq, paths = read_pgm_sequence(str(video))
         for frame, path in zip(seq.frames, paths):
             mask = cli.process_frame(grid, frame)
@@ -363,9 +374,7 @@ class TestSynth:
         assert main(argv) == EXIT_OK
         specs, novel = adaptation_demo_specs()
         data = gen_mixture_samples(specs, seed)
-        model = fit(data, FitConfig(k_max=10, history_len=data.size,
-                                    rng_seed=seed)).model
-        cfg = AdaptationConfig(mode=mode)
+        model = fit(data, FitConfig(k_max=10, rng_seed=seed)).model
         pool = (ref.HistoryPool(data, maxlen=data.size) if mode == "exact"
                 else None)
         stages = [("t0", model)]
@@ -373,7 +382,7 @@ class TestSynth:
             [GaussianSpec(novel.mean, novel.stddev, 50)], seed + 1)
         spawned = 0
         for i, x in enumerate(samples, start=1):
-            model, matched = ref.adapt(model, float(x), cfg, pool)
+            model, matched = ref.adapt(model, float(x), pool)
             spawned += not matched
             if i in (25, 50):
                 stages.append((f"t{i}", model))

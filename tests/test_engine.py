@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermobg.adapt import AdaptationConfig
+from thermobg.adapt import SamplePool
 from thermobg.core import MixtureState
 from thermobg.engine import (ModelFormatError, initialize_grid, load_grid,
                              process_frame, save_grid)
@@ -28,16 +28,23 @@ def small_video(seed=3, stream=12, base=100.0, sigma=3.0, levels=256):
 
 
 def fit_config():
-    return FitConfig(k_max=4, history_len=HISTORY, rng_seed=11)
+    return FitConfig(k_max=4, rng_seed=11)
+
+
+def fitted_grid(history, mode, seg_config):
+    """The grid fitted to the history, with a pool of it in exact mode."""
+    grid = initialize_grid(history, fit_config(), seg_config=seg_config)
+    if mode == "exact":
+        grid.pool = SamplePool.from_history(
+            history.frames.reshape(HISTORY, -1), HISTORY)
+    return grid
 
 
 def stream(mode):
     """Fit the history, then stream the rest of the video."""
     video = small_video()
     history = FrameSequence(video.frames[:HISTORY], video.intensity_levels)
-    grid = initialize_grid(history, fit_config(),
-                           adapt_config=AdaptationConfig(mode=mode),
-                           seg_config=SEG)
+    grid = fitted_grid(history, mode, SEG)
     fitted = grid.state.models()
     masks = [process_frame(grid, frame) for frame in video.frames[HISTORY:]]
     return grid, fitted, masks
@@ -92,13 +99,30 @@ class TestSingleModelPath:
         back = load_grid(path)
         assert (back.width, back.height) == (grid.width, grid.height)
         assert back.intensity_levels == grid.intensity_levels
-        assert back.fit_config.history_len == HISTORY
+        assert back.state.history_len == HISTORY
         for a, b in zip(grid.state.models(), back.state.models()):
             assert a.weights == b.weights
             assert a.means == b.means
             assert a.variances == b.variances
         save_grid(back, tmp_path / "again.vimm")
         assert path.read_bytes() == (tmp_path / "again.vimm").read_bytes()
+
+    def test_round_trip_keeps_the_history_length_of_the_state(self, tmp_path):
+        # N is the state's: a 50-frame history fitted with the default
+        # FitConfig saves and loads with N = 50, arrays bit-identical
+        video = small_video(stream=50 - HISTORY)
+        history = FrameSequence(video.frames, video.intensity_levels)
+        grid = initialize_grid(history, FitConfig())
+        assert grid.state.history_len == 50
+        path = tmp_path / "n50.vimm"
+        save_grid(grid, path)
+        assert path.read_text().split("\n", 1)[0] == \
+            f"VIMM1 {WIDTH} {HEIGHT} 50 256"
+        back = load_grid(path)
+        assert back.state.history_len == 50
+        for name in ("weights", "means", "variances", "k"):
+            assert np.array_equal(getattr(back.state, name),
+                                  getattr(grid.state, name))
 
 
 class TestInitializeGrid:
@@ -161,9 +185,7 @@ class TestNonFinite:
         video = small_video()
         history = FrameSequence(video.frames[:HISTORY], video.intensity_levels)
         seg = SegmentationConfig(min_blob_area=0)
-        grid = initialize_grid(history, fit_config(),
-                               adapt_config=AdaptationConfig(mode=mode),
-                               seg_config=seg)
+        grid = fitted_grid(history, mode, seg)
         frame = video.frames[HISTORY].copy()
         bad = {3: math.nan, 8: math.inf, 12: -math.inf}
         for idx, value in bad.items():
@@ -181,9 +203,7 @@ class TestNonFinite:
                 assert grid.pool.values(idx) == pool_before[idx]
 
         # every other pixel adapted as if the frame had no bad samples
-        twin = initialize_grid(history, fit_config(),
-                               adapt_config=AdaptationConfig(mode=mode),
-                               seg_config=seg)
+        twin = fitted_grid(history, mode, seg)
         clean = video.frames[HISTORY]
         twin_mask = process_frame(twin, clean)
         for idx in range(HEIGHT * WIDTH):

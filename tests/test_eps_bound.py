@@ -9,7 +9,6 @@ log f(x) >= log p(eps*), the same eps*, p and log p on every miss, and never
 evaluate more eps points.
 """
 
-import importlib
 import math
 
 import numpy as np
@@ -18,14 +17,12 @@ import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobg.adapt import (AdaptationConfig, SamplePool, _integer_levels,
+import thermobg.adapt as adapt_module
+from thermobg.adapt import (SamplePool, _integer_levels,
                             epsilon_star_approx_rows, epsilon_star_exact_rows,
                             log_density_rows)
 from thermobg.core import MixtureModel
 
-adapt_module = importlib.import_module("thermobg.adapt")
-EXACT = AdaptationConfig(mode="exact")
-APPROX = AdaptationConfig()
 # intensity levels, background mean and sd of each kind of pool
 KINDS = {8: (256, 100.0, 3.0), 16: (65536, 30000.0, 8.0),
          "continuous": (None, 100.0, 3.0)}
@@ -141,7 +138,7 @@ class TestExactCut:
                 assert (full[0][i], full[1][i]) == (1, 0.0)
                 continue
             values = pool.samples[i, :count[i]].tolist()
-            want = ref.epsilon_star_exact(values, float(x[i]), EXACT)
+            want = ref.epsilon_star_exact(values, float(x[i]))
             # branch and bound keeps the full grid's eps* and p
             assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p), i
             grid += grid_size(math.ceil(max(values) - min(values)))
@@ -191,7 +188,7 @@ class TestExactCut:
         full = epsilon_star_exact_rows(pool, x)
         assert 0 < points() < 2000
         for i in range(pixels):
-            want = ref.epsilon_star_exact(values[i].tolist(), x[i], EXACT)
+            want = ref.epsilon_star_exact(values[i].tolist(), x[i])
             assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p)
 
     def test_ceiling_below_epsilon_min_evaluates_nothing(self, points):
@@ -258,7 +255,7 @@ class TestExactKernels:
         pool = SamplePool.from_history(np.array(values)[:, None], 5)
         got = epsilon_star_exact_rows(pool, [1.0])
         assert [call[-1] for call in exact_calls] == [False]
-        want = ref.epsilon_star_exact(values, 1.0, EXACT)
+        want = ref.epsilon_star_exact(values, 1.0)
         assert (int(got[0][0]), float(got[1][0])) == (want.epsilon, want.p)
         assert want.p == 0.25
         # the single histogram would count 1e-20 once at eps = 1
@@ -277,7 +274,7 @@ class TestExactKernels:
         full = epsilon_star_exact_rows(pool, x)
         assert {call[-1] for call in exact_calls} == {False}
         i = 3
-        want = ref.epsilon_star_exact(pool.values(i), float(x[i]), EXACT)
+        want = ref.epsilon_star_exact(pool.values(i), float(x[i]))
         assert (int(full[0][i]), float(full[1][i])) == (want.epsilon, want.p)
 
 
@@ -331,7 +328,7 @@ class TestDefinitionKernel:
             if pool.count[i] == 0:
                 want = (1, (0.0).hex())
             else:
-                r = ref.epsilon_star_exact(pool.values(i), x[i], EXACT)
+                r = ref.epsilon_star_exact(pool.values(i), x[i])
                 want = (r.epsilon, r.p.hex())
             assert (int(full[0][i]), float(full[1][i]).hex()) == want, i
         with np.errstate(divide="ignore"):
@@ -363,7 +360,7 @@ class TestApproxCut:
         grid = 0
         for i in range(rows):
             m = MixtureModel([w[i]], [mu[i]], [var[i]], 100, levels or 256)
-            want = ref.epsilon_star_approx(m, 0, float(x[i]), APPROX)
+            want = ref.epsilon_star_approx(m, 0, float(x[i]))
             assert int(full[0][i]) == want.epsilon, i
             grid += grid_size(math.ceil(adapt_module.EPSILON_MAX_SIGMAS
                                         * math.sqrt(var[i])))

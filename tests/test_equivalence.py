@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 import scalar_reference as ref
 
-from thermobg.adapt import (AdaptationConfig, SamplePool,
-                            epsilon_star_approx_rows, epsilon_star_exact_rows,
-                            fsum_rows)
+from thermobg.adapt import (SamplePool, epsilon_star_approx_rows,
+                            epsilon_star_exact_rows, fsum_rows)
 from thermobg.core import MixtureModel, MixtureState
 from thermobg.engine import PixelGrid, initialize_grid, process_frame
 from thermobg.fit import FitConfig
@@ -43,10 +42,11 @@ def video(depth, seed, stream=STREAM):
 def fitted_grid(depth, mode, seed, stream=STREAM):
     seq = video(depth, seed, stream)
     history = FrameSequence(seq.frames[:HISTORY], seq.intensity_levels)
-    grid = initialize_grid(history, FitConfig(k_max=4, history_len=HISTORY,
-                                              rng_seed=seed),
-                           adapt_config=AdaptationConfig(mode=mode),
+    grid = initialize_grid(history, FitConfig(k_max=4, rng_seed=seed),
                            seg_config=SEG)
+    if mode == "exact":
+        grid.pool = SamplePool.from_history(
+            history.frames.reshape(HISTORY, -1), HISTORY)
     return grid, seq.frames[HISTORY:]
 
 
@@ -61,8 +61,7 @@ def stream_both(grid, frames):
     k_max = 0
     for t, frame in enumerate(frames):
         mask = process_frame(grid, frame)
-        labels, posterior = ref.stream_frame(models, pools, frame, SEG,
-                                             grid.adapt_config)
+        labels, posterior = ref.stream_frame(models, pools, frame, SEG)
         where = f"frame {t}"
         assert np.array_equal(mask.labels.ravel(), labels), where
         # numpy's exp and math.exp may differ in the last bit
@@ -102,8 +101,7 @@ class TestScalarEquivalence:
         for mode in ("approx", "exact"):
             grid = PixelGrid(WIDTH, HEIGHT,
                              MixtureState.from_models([model] * (WIDTH * HEIGHT)),
-                             FitConfig(k_max=4, history_len=HISTORY),
-                             AdaptationConfig(mode=mode), SEG)
+                             SEG)
             if mode == "exact":
                 grid.pool = SamplePool.from_history(
                     rng.normal(100.0, 3.0, (HISTORY, WIDTH * HEIGHT)), HISTORY)
@@ -121,7 +119,6 @@ class TestEpsilonStar:
         # less) from a non-integer x, where the floating-point window
         # comparisons and exact arithmetic disagree
         rng = np.random.default_rng(21)
-        cfg = AdaptationConfig(mode="exact")
         pixels, n = 300, 40
         x = (rng.integers(0, 300, pixels)
              + rng.choice([0.1, 0.2, 0.3, 0.35, 0.7, 1.0 / 3.0], pixels))
@@ -132,13 +129,12 @@ class TestEpsilonStar:
         pool = SamplePool.from_history(values.T, n)
         eps, p, log_p = epsilon_star_exact_rows(pool, x)
         for i in range(pixels):
-            want = ref.epsilon_star_exact(values[i].tolist(), float(x[i]), cfg)
+            want = ref.epsilon_star_exact(values[i].tolist(), float(x[i]))
             assert (int(eps[i]), float(p[i])) == (want.epsilon, want.p), i
             assert log_p[i] == pytest.approx(want.log_p, rel=1e-15)
 
     def test_approx_rows_match_the_scalar_path(self):
         rng = np.random.default_rng(22)
-        cfg = AdaptationConfig()
         rows = 400
         w = rng.uniform(0.01, 1.0, rows)
         mu = rng.uniform(0.0, 65535.0, rows)
@@ -148,7 +144,7 @@ class TestEpsilonStar:
         eps, p, log_p = epsilon_star_approx_rows(w, mu, var, x)
         for i in range(rows):
             m = MixtureModel([w[i]], [mu[i]], [var[i]], 100, 65536)
-            want = ref.epsilon_star_approx(m, 0, float(x[i]), cfg)
+            want = ref.epsilon_star_approx(m, 0, float(x[i]))
             assert int(eps[i]) == want.epsilon, i
             # log w is numpy's log here and math.log there
             assert log_p[i] == pytest.approx(want.log_p, rel=1e-15, abs=1e-300)
@@ -165,9 +161,7 @@ class TestExactTotal:
     def test_prune_boundary_follows_the_exactly_rounded_total(self):
         model = MixtureModel(self.WEIGHTS, [10.0, 60.0, 110.0], [1.0, 1.0, 1.0],
                              100)
-        grid = PixelGrid(1, 1, MixtureState.from_models([model]),
-                         FitConfig(k_max=4, history_len=100),
-                         AdaptationConfig(), SEG)
+        grid = PixelGrid(1, 1, MixtureState.from_models([model]), SEG)
         stream_both(grid, [np.array([[1000.0]])])  # spawns: K = 4
         w = grid.state.weights[0, 2]
         assert w * 0.99 < 0.01 <= np.nextafter(w, 1.0) * 0.99

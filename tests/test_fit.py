@@ -7,7 +7,7 @@ import pytest
 from thermobg.core import VARIANCE_FLOOR
 from thermobg.fit import (FitConfig, Priors, VariationalPosterior,
                           e_step, e_step_rows, elbo, elbo_rows,
-                          fit, kmeanspp_init, kmeanspp_rows, m_step,
+                          fit, fit_rows, kmeanspp_init, kmeanspp_rows, m_step,
                           m_step_rows, priors_rows)
 
 mp.mp.dps = 40
@@ -215,7 +215,7 @@ class TestMStep:
 class TestFit:
     def test_three_separated_gaussians_recover_k3(self):
         data = three_mode_data(0)
-        res = fit(data, FitConfig(k_max=10, history_len=300, rng_seed=0))
+        res = fit(data, FitConfig(k_max=10, rng_seed=0))
         assert res.model.n_components == 3
         means = sorted(res.model.means)
         assert means[0] == pytest.approx(30.0, abs=1.5)
@@ -225,15 +225,14 @@ class TestFit:
     def test_two_modes_example(self):
         rng = np.random.default_rng(123)
         data = np.concatenate([rng.normal(16, 1.5, 50), rng.normal(50, 2.0, 50)])
-        res = fit(data, FitConfig(k_max=10, history_len=100, rng_seed=123))
+        res = fit(data, FitConfig(k_max=10, rng_seed=123))
         assert res.model.n_components == 2
         means = sorted(res.model.means)
         assert means[0] == pytest.approx(16.0, abs=0.5)
         assert means[1] == pytest.approx(50.0, abs=0.5)
 
     def test_constant_data(self):
-        res = fit(np.full(100, 17.0), FitConfig(k_max=5, history_len=100,
-                                                rng_seed=0))
+        res = fit(np.full(100, 17.0), FitConfig(k_max=5, rng_seed=0))
         m = res.model
         assert m.n_components == 1
         assert m.means[0] == pytest.approx(17.0)
@@ -242,7 +241,7 @@ class TestFit:
 
     def test_determinism_bit_identical(self):
         data = three_mode_data(5)
-        cfg = FitConfig(k_max=10, history_len=300, rng_seed=5)
+        cfg = FitConfig(k_max=10, rng_seed=5)
         a = fit(data, cfg).model
         b = fit(data, cfg).model
         assert a.weights == b.weights
@@ -289,31 +288,32 @@ class TestFit:
 
     def test_elbo_increases_across_removals(self):
         data = three_mode_data(13)
-        res = fit(data, FitConfig(k_max=10, history_len=300, rng_seed=13))
+        res = fit(data, FitConfig(k_max=10, rng_seed=13))
         ends = [seg[-1] for seg in res.elbo_segments if seg]
         assert all(b >= a - 1e-8 for a, b in zip(ends, ends[1:]))
 
     def test_pruning_invariant(self):
         for seed in range(5):
             data = three_mode_data(seed)
-            res = fit(data, FitConfig(k_max=10, history_len=300, rng_seed=seed))
+            res = fit(data, FitConfig(k_max=10, rng_seed=seed))
             res.model.check()
 
     def test_final_phase_converges_quickly(self):
         data = three_mode_data(21)
-        res = fit(data, FitConfig(k_max=10, history_len=300, rng_seed=21))
+        res = fit(data, FitConfig(k_max=10, rng_seed=21))
         assert res.converged
         assert res.n_iters <= 20
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            fit(np.zeros(50), FitConfig(history_len=100, k_max=10))
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig(k_max=200, history_len=100)
+        # N is the history's length: fit and fit_rows reject k_max > N
+        with pytest.raises(ValueError, match="k_max=200 exceeds"):
+            fit(np.zeros(100), FitConfig(k_max=200))
+        with pytest.raises(ValueError, match="k_max=200 exceeds"):
+            fit_rows(np.zeros((3, 100)), FitConfig(k_max=200), [0, 1, 2])
         with pytest.raises(ValueError):
             FitConfig(k_max=0)
+        with pytest.raises(ValueError):
+            fit(np.zeros((2, 100)), FitConfig(k_max=10))
 
 
 class TestElbo:

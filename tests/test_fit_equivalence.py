@@ -3,15 +3,14 @@ replaced (tests/scalar_fit_reference.py): the same k-means++ partition, K
 and convergence, and parameters within 1e-9; and against itself, every
 pixel's model bit-identical whichever pixels share its block."""
 
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import scalar_fit_reference as ref
 
+import thermobg.fit as fit_mod
 from thermobg.fit import FitConfig, fit, fit_rows, kmeanspp_rows
 
-fit_mod = importlib.import_module("thermobg.fit")
 
 RTOL = 1e-9
 
@@ -21,7 +20,7 @@ def assert_matches_reference(samples, cfg, seeds, levels=65536):
     assign, _, _ = kmeanspp_rows(samples, cfg.k_max, seeds)
     for i, seed in enumerate(seeds):
         cfg_i = replace(cfg, rng_seed=seed)
-        ref_cfg = ref.FitConfig(k_max=cfg.k_max, history_len=cfg.history_len,
+        ref_cfg = ref.FitConfig(k_max=cfg.k_max, history_len=samples.shape[1],
                                 max_iters=cfg.max_iters, rng_seed=seed)
         want = ref.fit(samples[i], ref_cfg, intensity_levels=levels)
         init = ref.kmeanspp_init(samples[i], cfg.k_max, seed)
@@ -94,7 +93,7 @@ class TestScalarFitEquivalence:
         samples = np.rint(rng.normal(100.0, 2.0, (12, 120)))
         samples[:, 1::3] += 6.0
         samples[:, 2::3] += 12.0
-        cfg = FitConfig(k_max=10, history_len=120, max_iters=2)
+        cfg = FitConfig(k_max=10, max_iters=2)
         got = assert_matches_reference(samples, cfg, list(range(12)),
                                        levels=256)
         assert 0 < (~got.converged).sum() < 12

@@ -2,17 +2,14 @@
 shape, axis or memory layout, and e_step_rows, m_step_rows and elbo_rows
 give a pixel the same bits alone as in a padded block of pixels."""
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thermobg.fit as fit_mod
 from thermobg.fit import (Priors, VariationalPosterior, e_step_rows,
                           elbo_rows, m_step_rows)
-
-fit_mod = importlib.import_module("thermobg.fit")
 
 
 def in_order(x, axis):

@@ -1,8 +1,11 @@
 """The package's import layering, read from the source with ast: frameio is
 a leaf, segment builds only on core, and no module imports itself back
-through the others."""
+through the others.  And the package's attribute of each module's name is
+that module."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 PACKAGE = "thermobg"
@@ -73,3 +76,17 @@ def test_no_import_cycle():
 
     for m in sorted(GRAPH):
         visit(m)
+
+
+def test_package_attributes_are_the_modules():
+    # no function is re-exported under its module's name, so
+    # ``import thermobg.adapt as A`` binds the module
+    import thermobg
+    import thermobg.adapt as adapt_module
+    import thermobg.fit as fit_module
+    assert callable(adapt_module._exact_chunk)
+    assert callable(fit_module._seq_sum)
+    for name in sorted(MODULES - {"__init__"}):
+        module = importlib.import_module(f"{PACKAGE}.{name}")
+        assert isinstance(module, types.ModuleType)
+        assert getattr(thermobg, name) is module, name

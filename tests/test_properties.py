@@ -6,11 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermobg.adapt import AdaptationConfig, SamplePool
+from thermobg.adapt import SamplePool
 from thermobg.core import VARIANCE_FLOOR, MixtureModel, MixtureState
 from thermobg.engine import PixelGrid, process_frame
-from thermobg.fit import FitConfig
-from thermobg.segment import SegmentationConfig
 
 
 @st.composite
@@ -55,9 +53,7 @@ def scenarios(draw):
 @given(scenario=scenarios())
 def test_invariants_hold_after_every_frame(scenario):
     mode, n, width, height, grid_models, stored, frames = scenario
-    grid = PixelGrid(width, height, MixtureState.from_models(grid_models),
-                     FitConfig(k_max=4, history_len=n),
-                     AdaptationConfig(mode=mode), SegmentationConfig())
+    grid = PixelGrid(width, height, MixtureState.from_models(grid_models))
     if mode == "exact":
         grid.pool = (SamplePool.from_history(stored, n) if stored
                      else SamplePool(width * height, n))

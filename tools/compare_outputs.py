@@ -10,9 +10,10 @@ the chain perfbench runs through ``thermobg.cli``: ``fit``, then one
 ``run --save-posterior`` per stream segment, each continuing from the model
 the one before it saved.  For every seed each tree also runs
 ``synth update-demo`` in both adaptation modes, the one command whose
-exact mode gets non-integer samples.  Every command runs in a fresh
-single-thread process.  Every mask, posterior, VIMM1 model and CSV file of
-the two trees is then compared byte for byte.
+exact mode gets non-integer samples, and ``synth fit-demo``; the two demos
+are the only commands that fit one pixel through ``fit``.  Every command
+runs in a fresh single-thread process.  Every mask, posterior, VIMM1 model
+and CSV file of the two trees is then compared byte for byte.
 
 Exits 0 when all files are identical, 1 when any file differs or exists for
 one tree only, and 2 on a usage error or when a command fails.
@@ -67,21 +68,24 @@ def chain(scene, video, out):
     return calls
 
 
-def update_demos(seed, out):
-    """The argument lists of the update-demo calls, one per mode."""
+def demos(seed, out):
+    """The argument lists of the update-demo calls, one per mode, and of
+    the fit-demo call."""
     return [["synth", "update-demo", "--seed", str(seed), "--mode", mode,
              "--outdir", os.path.join(out, f"update-demo-{mode}")]
-            for mode in ("approx", "exact")]
+            for mode in ("approx", "exact")] + [
+        ["synth", "fit-demo", "--seed", str(seed),
+         "--outdir", os.path.join(out, "fit-demo")]]
 
 
 def cases(seed, work):
     """(name, the calls given an output directory) of every scene, its
-    video rendered under ``work``, then of the update demos."""
+    video rendered under ``work``, then of the synth demos."""
     for scene in SCENES.values():
         video = os.path.join(work, f"{scene.name}-{seed}", "video")
         write_video(scene, seed, video)
         yield scene.name, functools.partial(chain, scene, video)
-    yield "update-demo", functools.partial(update_demos, seed)
+    yield "demos", functools.partial(demos, seed)
 
 
 def run_tree(src, calls) -> None:

@@ -8,7 +8,10 @@ perfbench/scenes.py.  The scene's video is rendered once.  Both trees are
 imported in this process under distinct module names, and each follows the
 chain perfbench runs through ``thermobg.cli``: fit the history frames, then
 for each ``run`` call reload the model from its VIMM1 file (with an empty
-sample pool in exact mode) and stream that call's frames.  Each repetition
+sample pool in exact mode) and stream that call's frames.  A tree whose
+package still has ``AdaptationConfig`` (and ``FitConfig.history_len``) is
+driven through those; a tree without it takes N from the history and runs
+exact mode because its grid has a pool.  Each repetition
 times both trees' ``initialize_grid``, A first on even repetitions and B
 first on odd ones.  The stream frames go through the two trees'
 ``process_frame`` in alternating order, A first on one frame and B first on
@@ -57,6 +60,12 @@ def load_tree(src, name):
     return module
 
 
+def _old_api(pkg) -> bool:
+    """Whether the tree selects the adaptation mode by AdaptationConfig
+    and holds N in FitConfig."""
+    return hasattr(pkg, "AdaptationConfig")
+
+
 class Tree:
     """One tree's pipeline over the scene, with its initialize_grid and
     process_frame times."""
@@ -66,8 +75,8 @@ class Tree:
         self.times = []
         history = pkg.FrameSequence(frames[:scene.history],
                                     intensity_levels=scene.levels)
-        cfg = pkg.FitConfig(k_max=scene.kmax, history_len=scene.history,
-                            rng_seed=0)
+        extra = {"history_len": scene.history} if _old_api(pkg) else {}
+        cfg = pkg.FitConfig(k_max=scene.kmax, rng_seed=0, **extra)
         t0 = time.perf_counter()
         grid = pkg.initialize_grid(history, cfg)
         self.fit_s = time.perf_counter() - t0
@@ -81,13 +90,13 @@ class Tree:
         pkg = self.pkg
         seg = pkg.SegmentationConfig(p_bg=P_BG, decision_threshold=THRESHOLD,
                                      min_blob_area=MIN_BLOB, connectivity=8)
-        self.grid = pkg.load_grid(
-            self.model, adapt_config=pkg.AdaptationConfig(mode=self.scene.mode),
-            seg_config=seg)
+        extra = ({"adapt_config": pkg.AdaptationConfig(mode=self.scene.mode)}
+                 if _old_api(pkg) else {})
+        self.grid = pkg.load_grid(self.model, seg_config=seg, **extra)
         if self.scene.mode == "exact":
             self.grid.pool = pkg.SamplePool(
                 self.grid.width * self.grid.height,
-                self.grid.fit_config.history_len)
+                self.grid.state.history_len)
 
     def frame(self, frame) -> None:
         t0 = time.perf_counter()
