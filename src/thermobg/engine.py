@@ -38,7 +38,8 @@ class ModelFormatError(ValueError):
 @dataclass
 class PixelGrid:
     """Row-major per-pixel model state, the segmentation settings and,
-    in exact-history mode, the sample pool."""
+    in exact-history mode, the sample pool: one row of N slots per pixel,
+    N the state's history length, checked whenever a pool is attached."""
 
     width: int
     height: int
@@ -52,11 +53,19 @@ class PixelGrid:
     fit_seconds: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        n_pixels = self.width * self.height
-        if self.state.n_pixels != n_pixels:
+        if self.state.n_pixels != self.width * self.height:
             raise ValueError("model state does not match width * height")
-        if self.pool is not None and self.pool.n_pixels != n_pixels:
-            raise ValueError("sample pool does not match width * height")
+
+    def __setattr__(self, name, value):
+        if name == "pool" and value is not None:
+            if value.n_pixels != self.width * self.height:
+                raise ValueError("sample pool does not match width * height")
+            if value.maxlen != self.state.history_len:
+                raise ValueError(
+                    f"sample pool holds {value.maxlen} samples per pixel, "
+                    f"the model's history length is "
+                    f"{self.state.history_len}")
+        super().__setattr__(name, value)
 
     @property
     def intensity_levels(self) -> int:

@@ -16,7 +16,7 @@ selection works in two layers:
 ``fit_rows`` fits every pixel of a grid at once, in lock-step: each
 iteration runs one E and one M step for every pixel still fitting, whatever
 segment (shaping EM, a trial removal, final EM) the pixel is in, and each
-pixel keeps its own schedule.  Three choices carry its speed:
+pixel keeps its own schedule.  These choices carry its speed:
 
 * the bound is computed only where it is read, at the end of a segment;
 * EM runs over a pixel's distinct sample values with their counts, which
@@ -28,13 +28,20 @@ pixel keeps its own schedule.  Three choices carry its speed:
   one numpy call: reduced over an axis that is not the fast (last) one,
   ``np.add.reduce`` adds whole trailing slices index by index; only where
   nothing trails the axis does numpy pair terms up, and there the last
-  slice of ``np.cumsum``, which is sequential, stands in.  The E step lays
-  log rho out component-major for the same reason, so that its maximum and
-  its sum over components reduce the outermost axis.
+  slice of ``np.cumsum``, which is sequential, stands in.  Responsibilities
+  are laid out component-major, (K, L, P), for the same reason: the E step's
+  maximum and sum over components reduce the outermost axis.  The M step
+  and the bound sum over levels, so their first product with the counts
+  writes level-major (L, K, P) temporaries, at no extra pass;
+* the E step's exponential (``_exp``) skips numpy's slow path for results
+  below the normal range, which over half of a fit's inputs reach;
+* a block's posterior is one stacked (field, K, P) array, so that a pass
+  gathers and scatters all its fields at once.
 
 ``fit``, ``e_step``, ``m_step``, ``elbo``, ``kmeanspp_init`` and
 ``VariationalPosterior.drop`` are the one-pixel case of the same code;
-``m_step`` and ``elbo`` take the priors ``priors_rows`` gives for one row.
+``m_step`` and ``elbo`` take the priors ``priors_rows`` gives for one row,
+and a one-pixel ``resp`` is (N, K).
 """
 
 from __future__ import annotations
@@ -45,9 +52,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+# scipy's ufunc, not core.digamma: its arguments here are positive by
+# construction, so the domain check would only cost time in every pass.
+from scipy.special import digamma, gammaln
 
-from .core import VARIANCE_FLOOR, MixtureModel, MixtureState, digamma
+from .core import VARIANCE_FLOOR, MixtureModel, MixtureState
 
 # Effective counts below this are treated as an empty component; its
 # posterior then reverts to the prior.
@@ -70,8 +79,17 @@ REL_TOL = 1e-5
 # (components x pixels) state.
 _PASS_ELEMENTS = 1 << 15
 _BLOCK_ROWS = 1024
+# What a pass costs beyond its elements, in elements: ~150 us of numpy
+# calls per pass against ~30 ns per element (thermal16-fit, one x86-64
+# core).
+_PASS_COST = 4096
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+# np.exp of anything at or above _EXP_NORMAL is a normal float, and of
+# anything at or below _EXP_ZERO it is 0.
+_EXP_NORMAL = -707.0
+_EXP_ZERO = -746.0
 
 # Segments of a pixel's fit.
 _SHAPE, _DEAD, _CANDIDATE, _FINAL, _DONE = range(5)
@@ -99,9 +117,14 @@ class Priors:
                 raise ValueError(f"prior {name} must be strictly positive")
 
     def take(self, rows) -> "Priors":
-        """The priors of the given pixels, for per-pixel m0 and beta0."""
-        return dataclasses.replace(self, m0=self.m0[rows],
-                                   beta0=self.beta0[rows])
+        """The priors of the given pixels, for per-pixel m0 and beta0.
+
+        Built without __post_init__: a subset of checked values needs no
+        second check, and a fit takes priors on every pass."""
+        out = object.__new__(Priors)
+        out.__dict__.update(self.__dict__, m0=self.m0[rows],
+                            beta0=self.beta0[rows])
+        return out
 
 
 @dataclass
@@ -123,7 +146,7 @@ class VariationalPosterior:
     weighted statistics they were computed from.
 
     For one pixel the component fields are (K,) and ``resp`` is (N, K); for
-    a block of P pixels they are (K, P) and (L, K, P), over each pixel's L
+    a block of P pixels they are (K, P) and (K, L, P), over each pixel's L
     sample values.
     """
 
@@ -158,7 +181,8 @@ class VariationalPosterior:
 # The fields of VariationalPosterior indexed by component first.
 _FIELDS = ("lambda_", "m", "beta", "a", "b", "Nk", "xbar", "sigma")
 _PARAMS = ("lambda_", "m", "beta", "a", "b")  # what an E step reads
-_STATE = _PARAMS + ("Nk",)  # what a fit carries
+_STATE = _PARAMS + ("Nk",)  # what a fit carries, stacked in this order
+_NK = _STATE.index("Nk")
 
 
 @dataclass
@@ -271,45 +295,71 @@ def e_step(post: VariationalPosterior, data) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     resp = e_step_rows(_one_row(post), data[:, None],
                        np.array([post.n_components]))
-    return resp[:, :, 0]
+    return resp[:, :, 0].T
 
 
 def e_step_rows(post: VariationalPosterior, levels, k) -> np.ndarray:
     """e_step for a block: ``post`` holds (K, P) fields of which pixel p
     uses the first k[p]; ``levels`` is (L, P).  Returns C-contiguous
-    (L, K, P) responsibilities, 0 for the unused components."""
+    (K, L, P) responsibilities, 0 for the unused components; the maximum
+    and the sum over components reduce axis 0, one whole (L, P) slice at a
+    time."""
     active = _active(post.n_components, k)
     ln_w = digamma(post.lambda_) - digamma(_masked_sum(post.lambda_, active))
     ln_tau = digamma(post.a) - np.log(post.b)
     base = np.where(active, ln_w + 0.5 * ln_tau - 0.5 / post.beta, -np.inf)
-    # Built component-major, (K, L, P), so that the maximum and the sum over
-    # components reduce axis 0, one whole (L, P) slice at a time.
     ln_rho = np.subtract(levels, post.m[:, None, :], order="C")
     ln_rho *= ln_rho
     ln_rho *= (post.a / (2.0 * post.b))[:, None, :]
     np.subtract(base[:, None, :], ln_rho, out=ln_rho)
     ln_rho -= ln_rho.max(axis=0)
-    rho = np.exp(ln_rho, out=ln_rho)
+    rho = _exp(ln_rho)
     denom = _seq_sum(rho, axis=0)
-    assert np.all(denom > 0.0), "responsibility row collapsed to zero"
-    resp = np.empty((levels.shape[0], post.n_components, levels.shape[1]))
-    np.divide(rho.transpose(1, 0, 2), denom[:, None, :], out=resp)
-    return resp
+    assert (denom > 0.0).all(), "responsibility row collapsed to zero"
+    rho /= denom
+    return rho
+
+
+def _exp(x):
+    """np.exp of a C-contiguous float64 array, in place, bit for bit.
+
+    numpy's exp takes a slow path for every result below the normal range,
+    which costs 5-140 times an in-range one, and over half of a fit's
+    log-responsibilities land there.  So it runs only on the few entries in
+    (_EXP_ZERO, _EXP_NORMAL), whose results are subnormal; the rest are
+    clamped at _EXP_NORMAL, exponentiated and multiplied by whether they
+    were in range, which turns the ones below it, -inf included, to 0 and
+    leaves NaN NaN."""
+    assert x.flags.c_contiguous, "_exp writes through a flat view"
+    flat = x.reshape(-1)
+    normal = x >= _EXP_NORMAL
+    # above _EXP_ZERO but not normal (normal implies above _EXP_ZERO)
+    subnormal = np.flatnonzero(np.logical_xor(normal, x > _EXP_ZERO))
+    tiny = np.exp(flat[subnormal])
+    np.maximum(x, _EXP_NORMAL, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, normal, out=x, dtype=np.float64)
+    flat[subnormal] = tiny
+    return x
 
 
 def m_step(resp, data, priors: Priors) -> VariationalPosterior:
     """Recompute the variational hyperparameters from fixed responsibilities."""
     resp = np.asarray(resp, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64)
-    post = m_step_rows(resp[:, :, None], data[:, None],
+    post = m_step_rows(resp.T[:, :, None], data[:, None],
                        np.ones((data.size, 1)), priors)
     return _first_row(post)
 
 
 def m_step_rows(resp, levels, counts, priors: Priors) -> VariationalPosterior:
-    """m_step for a block: (L, K, P) responsibilities over (L, P) levels
-    seen counts[l, p] times each; ``priors`` may hold per-pixel fields."""
-    weighted = resp * counts[:, None, :]
+    """m_step for a block: (K, L, P) responsibilities over (L, P) levels
+    seen counts[l, p] times each; ``priors`` may hold per-pixel fields.
+
+    Its (L, K, P) temporaries are level-major, so that the sums over levels
+    reduce axis 0, a whole (K, P) slice at a time: the first product lays
+    them out, at no extra pass."""
+    weighted = _by_level(resp, counts)
     nk = _seq_sum(weighted, axis=0)
     empty = nk < _EMPTY_COUNT
 
@@ -371,9 +421,9 @@ def elbo_rows(post: VariationalPosterior, counts, k, priors: Priors):
     )
 
     resp = post.resp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rlogr = np.where(resp > 0.0, resp * np.log(resp), 0.0)
-    lq_z = total(_seq_sum(rlogr * counts[:, None, :], axis=0))
+    # r log r, 0 where r is: log(1) = 0 keeps numpy off log(0)'s slow path
+    rlogr = resp * np.log(np.where(resp > 0.0, resp, 1.0))
+    lq_z = total(_seq_sum(_by_level(rlogr, counts), axis=0))
     lq_w = gammaln(lam_sum) - total(gammaln(lam)) + total((lam - 1.0) * ln_w)
     gamma_entropy = gammaln(a) - (a - 1.0) * digamma(a) - np.log(b) + a
     lq_mu_tau = total(0.5 * ln_tau + 0.5 * np.log(beta / (2.0 * np.pi))
@@ -559,9 +609,10 @@ class _BlockFit:
     death-move trials (the components under one sample as a batch, then the
     weakest few one at a time), then final EM.  ``work`` is the posterior
     each pixel iterates on and ``accepted`` the one its last accepted
-    segment left; both are (K_cap, P), pixel p using its first ``k[p]`` or
-    ``accepted_k[p]`` components in order.  ``seconds`` accumulates the
-    time spent in each of FIT_STAGES.
+    segment left; both are stacked (field, K_cap, P) arrays of the _STATE
+    fields, pixel p using its first ``k[p]`` or ``accepted_k[p]``
+    components in order.  ``seconds`` accumulates the time spent in each of
+    FIT_STAGES.
     """
 
     def __init__(self, samples, cfg: FitConfig, seeds):
@@ -574,20 +625,15 @@ class _BlockFit:
         self.priors = priors_rows(samples)
         self.levels = _Levels(samples)
         assign, _, self.k = _kmeanspp(samples, self.levels, cfg.k_max, seeds)
-        width = int(self.k.max())
-
-        def blank():
-            return VariationalPosterior(
-                **{name: np.ones((width, n_rows)) for name in _STATE})
-
-        self.work, self.accepted = blank(), blank()
+        self.work = np.ones((len(_STATE), int(self.k.max()), n_rows))
+        self.accepted = self.work.copy()
         self.accepted_k = self.k.copy()
         for rows in self._passes(np.arange(n_rows)):
-            n_levels = int(self.levels.n[rows].max())
-            comps = np.arange(int(self.k[rows].max()))[:, None]
-            resp = (assign[:n_levels, rows][:, None, :] == comps).astype(np.float64)
-            self._put(rows, m_step_rows(resp, self.levels.values[:n_levels, rows],
-                                        self.levels.counts[:n_levels, rows],
+            values, counts = self._levels(rows)
+            comps = np.arange(int(self.k[rows].max()))[:, None, None]
+            resp = (self._take(assign, rows, values.shape[0])
+                    == comps).astype(np.float64)
+            self._put(rows, m_step_rows(resp, values, counts,
                                         self.priors.take(rows)))
         self.seconds = dict.fromkeys(FIT_STAGES, 0.0)
         self.seconds["kmeanspp_s"] = time.perf_counter() - t0
@@ -623,6 +669,11 @@ class _BlockFit:
     def n_rows(self) -> int:
         return self.k.size
 
+    @property
+    def width(self) -> int:
+        """K_cap, the components a pixel can hold."""
+        return self.work.shape[1]
+
     def segment_bounds(self, row: int) -> list[float]:
         """The bound at the end of each of the row's accepted segments."""
         rows, bounds = np.concatenate(self.bound_rows), np.concatenate(self.bounds)
@@ -632,8 +683,8 @@ class _BlockFit:
         """Prune mixing coefficients below 1/N (a kept component models at
         least one sample), renormalize, and export point estimates (the
         posterior mean of tau gives the variance b/a)."""
-        post, n = self.work, self.n
-        active = _active(post.n_components, self.k)
+        post, n = _unstack(self.work), self.n
+        active = _active(self.width, self.k)
         keep = active & (post.Nk / n >= 1.0 / n)
         lost = ~keep.any(axis=0)
         if lost.any():
@@ -655,7 +706,14 @@ class _BlockFit:
 
     def _passes(self, rows):
         """Split rows into passes whose (levels x components x pixels)
-        arrays stay within _PASS_ELEMENTS, grouping rows of similar K."""
+        arrays stay within _PASS_ELEMENTS: first rows with few levels from
+        rows with many (_level_split), then, within each group, rows of
+        similar K together."""
+        for group in _level_split(self.k[rows], self.levels.n[rows]):
+            yield from self._k_passes(rows[group])
+
+    def _k_passes(self, rows):
+        """Passes of the rows in descending K, as many rows each as fit."""
         k, n_levels = self.k[rows], self.levels.n[rows]
         order = np.lexsort((-n_levels, -k))
         rows, k, n_levels = rows[order], k[order], n_levels[order]
@@ -671,34 +729,33 @@ class _BlockFit:
     def _step(self, rows):
         """One E and M step for the rows of a pass; returns the rows whose
         segment ended, whether each converged, and the bound it ended on."""
-        n_comp = int(self.k[rows].max())
-        n_levels = int(self.levels.n[rows].max())
-        values = self.levels.values[:n_levels, rows]
-        counts = self.levels.counts[:n_levels, rows]
         k = self.k[rows]
+        n_comp = int(k.max())
+        values, counts = self._levels(rows)
         priors = self.priors.take(rows)
-        work = VariationalPosterior(**{
-            name: getattr(self.work, name)[:n_comp, rows]
-            for name in _PARAMS})
+        work = _unstack(self._take(self.work[:_NK], rows, n_comp))
         t0 = time.perf_counter()
         post = m_step_rows(e_step_rows(work, values, k), values, counts, priors)
         self.seconds["em_s"] += time.perf_counter() - t0
         active = _active(n_comp, k)
-        delta = np.maximum(_max_rel_change(work.m, post.m, active),
-                           _max_rel_change(_weights(work, active),
-                                           _weights(post, active), active))
+        delta = _max_rel_change(np.array([work.m, _weights(work, active)]),
+                                np.array([post.m, _weights(post, active)]),
+                                active)
         self._put(rows, post)
         self.it[rows] += 1
         self.em_iters[rows] += 1
         converged = delta < REL_TOL
         end = converged | (self.it[rows] >= self.cap[rows])
-        if not end.any():
+        end = np.flatnonzero(end)
+        if not end.size:
             return rows[end], converged[end], np.zeros(0)
         ended = VariationalPosterior(
-            resp=post.resp[:, :, end],
-            **{name: getattr(post, name)[:, end] for name in _FIELDS})
+            resp=post.resp.take(end, axis=2),
+            **{name: getattr(post, name).take(end, axis=1)
+               for name in _FIELDS})
         t0 = time.perf_counter()
-        bound = elbo_rows(ended, counts[:, end], k[end], priors.take(end))
+        bound = elbo_rows(ended, counts.take(end, axis=1), k[end],
+                          priors.take(end))
         self.seconds["bound_s"] += time.perf_counter() - t0
         return rows[end], converged[end], bound
 
@@ -733,9 +790,7 @@ class _BlockFit:
         if not rows.size:
             return
         self.current[rows] = bound
-        for name in _STATE:
-            getattr(self.accepted, name)[:, rows] = getattr(self.work,
-                                                            name)[:, rows]
+        self.accepted[:, :, rows] = self.work[:, :, rows]
         self.accepted_k[rows] = self.k[rows]
         self.path_iters[rows] += self.it[rows]
         self._log(rows, bound)
@@ -750,8 +805,8 @@ class _BlockFit:
         self._start_final(rows[alone])
         rows = rows[~alone]
         k = self.accepted_k[rows]
-        dead = (_active(self.accepted.n_components, k)
-                & (self.accepted.Nk[:, rows] < 1.0))
+        dead = (_active(self.width, k)
+                & (self.accepted[_NK][:, rows] < 1.0))
         n_dead = dead.sum(axis=0)
         batch = (n_dead > 0) & (k - n_dead >= 1)
         self._start_trial(rows[batch], dead[:, batch], _DEAD)
@@ -761,8 +816,8 @@ class _BlockFit:
         if not rows.size:
             return
         k = self.accepted_k[rows]
-        key = np.where(_active(self.accepted.n_components, k),
-                       self.accepted.Nk[:, rows], np.inf)
+        key = np.where(_active(self.width, k),
+                       self.accepted[_NK][:, rows], np.inf)
         order = np.argsort(key, axis=0, kind="stable")[:_TRIAL_CANDIDATES]
         self.candidates[:order.shape[0], rows] = order
         self.n_candidates[rows] = np.minimum(k, _TRIAL_CANDIDATES)
@@ -773,18 +828,16 @@ class _BlockFit:
         if not rows.size:
             return
         index = self.candidates[self.tried[rows], rows]
-        drop = np.arange(self.accepted.n_components)[:, None] == index
+        drop = np.arange(self.width)[:, None] == index
         self._start_trial(rows, drop, _CANDIDATE)
 
     def _start_trial(self, rows, drop, phase) -> None:
         """Iterate on the accepted posterior without the dropped components."""
         if not rows.size:
             return
-        keep = _active(self.accepted.n_components, self.accepted_k[rows]) & ~drop
-        order = _kept_first(keep)
-        for name in _PARAMS:
-            getattr(self.work, name)[:, rows] = np.take_along_axis(
-                getattr(self.accepted, name)[:, rows], order, axis=0)
+        keep = _active(self.width, self.accepted_k[rows]) & ~drop
+        self.work[:_NK, :, rows] = np.take_along_axis(
+            self.accepted[:_NK, :, rows], _kept_first(keep)[None], axis=1)
         self.k[rows] = keep.sum(axis=0)
         self.death_trials[rows] += 1
         self._start(rows, phase, _TRIAL_ITERS)
@@ -792,9 +845,7 @@ class _BlockFit:
     def _start_final(self, rows) -> None:
         if not rows.size:
             return
-        for name in _PARAMS:
-            getattr(self.work, name)[:, rows] = getattr(self.accepted,
-                                                        name)[:, rows]
+        self.work[:_NK, :, rows] = self.accepted[:_NK, :, rows]
         self.k[rows] = self.accepted_k[rows]
         self._start(rows, _FINAL, self.cfg.max_iters)
 
@@ -803,15 +854,55 @@ class _BlockFit:
         self.it[rows] = 0
         self.cap[rows] = cap
 
+    def _levels(self, rows):
+        """The (L, P) level values and counts of the rows, L the most any
+        of them has."""
+        n_levels = int(self.levels.n[rows].max())
+        return (self._take(self.levels.values, rows, n_levels),
+                self._take(self.levels.counts, rows, n_levels))
+
+    @staticmethod
+    def _take(x, rows, n):
+        """The first n entries of the rows' columns of x (last axis rows,
+        second last n), C-contiguous."""
+        return x[..., :n, :].take(rows, axis=-1)
+
     def _put(self, rows, post: VariationalPosterior) -> None:
-        n_comp = post.n_components
-        for name in _STATE:
-            getattr(self.work, name)[:n_comp, rows] = getattr(post, name)
+        self.work[:, :post.n_components, rows] = [getattr(post, name)
+                                                  for name in _STATE]
 
     def _log(self, rows, bound) -> None:
         if rows.size:
             self.bound_rows.append(rows)
             self.bounds.append(bound)
+
+
+def _level_split(k, n_levels):
+    """Masks of the rows that _passes groups apart: the rows with at most
+    some level count and the rest, where that lowers the estimated cost,
+    else all rows.
+
+    A pass pads every row to its widest, so one row with many levels
+    widens a pass of rows with few.  A group of rows is estimated to
+    compute (its most levels) x (its total K) elements, in passes of
+    _PASS_ELEMENTS, each costing _PASS_COST elements more."""
+    order = np.argsort(n_levels, kind="stable")
+    levels = n_levels[order]
+    cuts = np.flatnonzero(levels[1:] != levels[:-1])  # last row of each count
+    if not cuts.size:
+        return [np.ones(k.size, dtype=bool)]
+    below = np.cumsum(k[order])[cuts]  # total K of the rows up to each cut
+    total = int(k.sum())
+    # the elements of all rows as one group, then of the two groups of
+    # each cut
+    low = np.concatenate(([levels[-1] * total], levels[cuts] * below))
+    high = np.concatenate(([0], levels[-1] * (total - below)))
+    passes = -(-low // _PASS_ELEMENTS) - (-high // _PASS_ELEMENTS)
+    best = int(np.argmin(low + high + _PASS_COST * passes))
+    if best == 0:
+        return [np.ones(k.size, dtype=bool)]
+    few = n_levels <= levels[cuts[best - 1]]
+    return [few, ~few]
 
 
 def _seq_sum(x, axis: int):
@@ -834,6 +925,12 @@ def _seq_sum(x, axis: int):
     if math.prod(x.shape[axis + 1:]) > 1:
         return np.add.reduce(x, axis=axis)
     return np.cumsum(x, axis=axis).take(-1, axis=axis)
+
+
+def _by_level(x, counts):
+    """A (K, L, P) array times the (L, P) counts, as a C-contiguous
+    (L, K, P) array."""
+    return np.multiply(x.transpose(1, 0, 2), counts[:, None, :], order="C")
 
 
 def _masked_sum(x, active):
@@ -862,18 +959,27 @@ def _take_kept(x, keep):
 
 
 def _max_rel_change(old, new, active):
-    """Per pixel, the largest relative change over its active components."""
+    """Per pixel, the largest relative change over its active components of
+    (field, K, P) stacked quantities."""
     change = np.abs(new - old) / np.maximum(np.abs(old), 1e-12)
-    return np.where(active, change, 0.0).max(axis=0)
+    return np.where(active, change, 0.0).max(axis=(0, 1))
 
 
 def _one_row(post: VariationalPosterior) -> VariationalPosterior:
     """A one-pixel posterior as a block of one pixel."""
-    return dataclasses.replace(post, **{
-        name: getattr(post, name)[..., None] for name in _FIELDS + ("resp",)
-        if getattr(post, name) is not None})
+    fields = {name: getattr(post, name)[..., None] for name in _FIELDS
+              if getattr(post, name) is not None}
+    if post.resp is not None:
+        fields["resp"] = post.resp.T[:, :, None]
+    return dataclasses.replace(post, **fields)
 
 
 def _first_row(post: VariationalPosterior) -> VariationalPosterior:
-    return dataclasses.replace(post, **{
-        name: getattr(post, name)[..., 0] for name in _FIELDS + ("resp",)})
+    return dataclasses.replace(post, resp=post.resp[:, :, 0].T, **{
+        name: getattr(post, name)[..., 0] for name in _FIELDS})
+
+
+def _unstack(stack) -> VariationalPosterior:
+    """Views of a stacked (field, K, P) posterior, its fields in _STATE
+    order (the first len(stack) of them)."""
+    return VariationalPosterior(**dict(zip(_STATE, stack)))

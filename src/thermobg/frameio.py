@@ -270,12 +270,14 @@ def read_raw_sequence(path, width: int, height: int, depth: int = 16,
                       endianness: str = "little",
                       limit: int | None = None) -> FrameSequence:
     """Read a headerless raw intensity dump as consecutive frames, at most
-    the first ``limit`` of them when a limit is given.
+    the first ``limit`` of them when a limit is given; a limit below 1
+    raises ValueError.
 
     The file length must be an exact multiple of width*height*bytes-per-
     sample, whatever the limit; anything else is reported with the expected
     and actual counts.
     """
+    _check_limit(limit)
     if depth not in (8, 16):
         raise FrameFormatError(f"unsupported raw depth {depth} (8 or 16)")
     if endianness not in ("little", "big"):
@@ -297,13 +299,21 @@ def read_raw_sequence(path, width: int, height: int, depth: int = 16,
                          intensity_levels=256 if depth == 8 else 65536)
 
 
+def _check_limit(limit) -> None:
+    """A frame limit, where given, is at least 1."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"frame limit must be at least 1, got {limit}")
+
+
 def read_pgm_sequence(pattern, limit: int | None = None
                       ) -> tuple[FrameSequence, list[str]]:
     """Load a sorted directory or glob of PGM frames as one sequence.
 
     With a ``limit`` only the first ``limit`` frames in sorted order are
-    decoded and returned, with their paths.
+    decoded and returned, with their paths; a limit below 1 raises
+    ValueError.
     """
+    _check_limit(limit)
     if os.path.isdir(pattern):
         paths = sorted(glob.glob(os.path.join(pattern, "*.pgm")))
     else:

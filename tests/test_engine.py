@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from thermobg.adapt import SamplePool
-from thermobg.core import MixtureState
-from thermobg.engine import (ModelFormatError, initialize_grid, load_grid,
-                             process_frame, save_grid)
+from thermobg.core import MixtureModel, MixtureState
+from thermobg.engine import (ModelFormatError, PixelGrid, initialize_grid,
+                             load_grid, process_frame, save_grid)
 from thermobg.fit import FitConfig
 from thermobg.frameio import FrameSequence
 from thermobg.segment import SegmentationConfig, posterior_bg_rows
@@ -162,6 +162,34 @@ class TestLoadGrid:
         with pytest.raises(ModelFormatError, match="pixel 1") as info:
             load_grid(path)
         assert info.value.pixel_index == 1
+
+
+class TestPool:
+    """A sample pool is checked as it is attached: one row per pixel, N
+    slots per row."""
+
+    def grid(self, pool=None):
+        model = MixtureModel([1.0], [100.0], [9.0], 100)
+        return PixelGrid(WIDTH, HEIGHT, MixtureState.from_models(
+            [model] * (WIDTH * HEIGHT)), pool=pool)
+
+    @pytest.mark.parametrize("pixels, maxlen, match", [
+        (WIDTH * HEIGHT, 7, "holds 7 samples per pixel"),
+        (WIDTH * HEIGHT + 1, 100, "width \\* height")])
+    def test_mismatched_pool_is_rejected(self, pixels, maxlen, match):
+        with pytest.raises(ValueError, match=match):
+            self.grid(SamplePool(pixels, maxlen))
+        grid = self.grid()
+        with pytest.raises(ValueError, match=match):
+            grid.pool = SamplePool(pixels, maxlen)
+        assert grid.pool is None
+
+    def test_matching_pool_attaches_and_detaches(self):
+        grid = self.grid(SamplePool(WIDTH * HEIGHT, 100))
+        assert grid.pool.maxlen == grid.state.history_len
+        grid.pool = None
+        grid.pool = SamplePool(WIDTH * HEIGHT, 100)
+        assert grid.pool is not None
 
 
 class TestNonFinite:

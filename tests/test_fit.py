@@ -260,7 +260,7 @@ class TestFit:
         assign, _, k = kmeanspp_rows(samples, 6, [9, 10, 11, 12])
         assert k.tolist() == [6, 6, 6, 3]
         comps = np.arange(6)
-        resp = (assign.T[:, None, :] == comps[:, None]).astype(float)
+        resp = (assign.T == comps[:, None, None]).astype(float)
         post = m_step_rows(resp, levels, counts, priors)
 
         def segment(post, k, iters):

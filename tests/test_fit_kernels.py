@@ -1,6 +1,9 @@
 """The batched fit's kernels: ``_seq_sum`` adds in index order whatever the
-shape, axis or memory layout, and e_step_rows, m_step_rows and elbo_rows
-give a pixel the same bits alone as in a padded block of pixels."""
+shape, axis or memory layout, ``_exp`` is np.exp bit for bit, and
+e_step_rows, m_step_rows and elbo_rows give a pixel the same bits alone as
+in a padded block of pixels."""
+
+import math
 
 import numpy as np
 import pytest
@@ -58,7 +61,8 @@ def block(ks, ls, seed):
     """A block of pixels with k[p] components and l[p] levels each, padded
     as _BlockFit pads them: stale values in the unused components, each
     pixel's largest level repeated with count 0 below its own.  Levels and
-    counts are column-major, as a fit pass slices them."""
+    counts are column-major, which the kernels must read as they read
+    C-contiguous ones."""
     rng = np.random.default_rng(seed)
     n_comp, n_levels, n_pixels = max(ks), max(ls), len(ks)
     levels = np.empty((n_levels, n_pixels))
@@ -92,7 +96,7 @@ class TestBlockKernels:
         post, levels, counts, k, priors = block(ks, ls, seed=sum(ks) + len(ls))
         resp = e_step_rows(post, levels, k)
         n_levels, n_comp = max(ls), max(ks)
-        assert resp.shape == (n_levels, n_comp, len(ks))
+        assert resp.shape == (n_comp, n_levels, len(ks))
         assert resp.flags.c_contiguous
         fitted = m_step_rows(resp, levels, counts, priors)
         bound = elbo_rows(fitted, counts, k, priors)
@@ -103,8 +107,8 @@ class TestBlockKernels:
                 for name in ("lambda_", "m", "beta", "a", "b")})
             one_resp = e_step_rows(alone, levels[:lp, cols], k[cols])
             assert one_resp.flags.c_contiguous
-            assert same_bits(one_resp, resp[:lp, :kp, cols]), p
-            assert not resp[:, kp:, p].any(), p
+            assert same_bits(one_resp, resp[:kp, :lp, cols]), p
+            assert not resp[kp:, :, p].any(), p
             one = m_step_rows(one_resp, levels[:lp, cols], counts[:lp, cols],
                               priors.take([p]))
             for name in ("Nk", "xbar", "sigma", "lambda_", "m", "beta", "a",
@@ -114,3 +118,58 @@ class TestBlockKernels:
             one_bound = elbo_rows(one, counts[:lp, cols], k[cols],
                                   priors.take([p]))
             assert same_bits(one_bound, bound[cols]), p
+
+
+# Values on and around the edges of np.exp's ranges: -707 (_EXP_NORMAL),
+# -708.4 (the smallest normal result), -745.13 (the smallest subnormal one)
+# and -746 (_EXP_ZERO).
+EDGES = [-707.0, -708.3964185322641, -708.4, -745.1332191019411, -745.14,
+         -746.0]
+
+
+def exp_inputs():
+    near = st.sampled_from(EDGES).flatmap(
+        lambda e: st.sampled_from([e, np.nextafter(e, 0.0),
+                                   np.nextafter(e, -np.inf)]))
+    value = st.one_of(st.floats(-800.0, 0.0), near,
+                      st.sampled_from([-np.inf, np.nan]))
+    shape = st.lists(st.integers(1, 6), min_size=1, max_size=3)
+    return shape.flatmap(lambda s: st.lists(
+        value, min_size=math.prod(s), max_size=math.prod(s)).map(
+            lambda v: np.array(v, dtype=np.float64).reshape(s)))
+
+
+class TestExp:
+    @settings(max_examples=400, deadline=None)
+    @given(x=exp_inputs())
+    def test_equals_np_exp_bit_for_bit(self, x):
+        with np.errstate(all="ignore"):
+            want = np.exp(x)
+        got = fit_mod._exp(x.copy())
+        assert same_bits(got, want), (x[got != want], got[got != want])
+
+    def test_each_range(self):
+        x = np.array([0.0, -1.0, -707.0, -707.5, -745.1, -745.2, -746.0,
+                      -900.0, -np.inf, np.nan])
+        got = fit_mod._exp(x.copy())
+        assert same_bits(got, np.exp(x))
+        assert 0.0 < got[4] < np.finfo(float).tiny  # subnormal, not 0
+        assert not got[6:9].any() and np.isnan(got[9])
+
+
+class TestLevelSplit:
+    def test_wide_rows_go_apart_when_that_saves_work(self):
+        # nine rows of 20 levels and one of 100: together they compute
+        # 100 x 100 elements, apart 20 x 90 + 100 x 10
+        k = np.full(10, 10)
+        n_levels = np.array([20] * 9 + [100])
+        few, many = fit_mod._level_split(k, n_levels)
+        assert few.tolist() == [True] * 9 + [False]
+        assert (few ^ many).all()
+
+    def test_rows_stay_together_when_a_pass_would_cost_more(self):
+        # two rows: splitting saves 10 of 52 elements, less than a pass
+        k = np.array([2, 2])
+        for n_levels in (np.array([8, 13]), np.array([8, 8])):
+            (everyone,) = fit_mod._level_split(k, n_levels)
+            assert everyone.all()

@@ -57,6 +57,13 @@ class TestPgm:
         with pytest.raises(FrameFormatError, match="truncated"):
             read_pgm_sequence(str(tmp_path))
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_sequence_limit_below_one_raises(self, tmp_path, limit):
+        for t, arr in enumerate(frames_of(8, n=5)):
+            write_pgm(arr, tmp_path / f"frame_{t:03d}.pgm")
+        with pytest.raises(ValueError, match="at least 1"):
+            read_pgm_sequence(str(tmp_path), limit=limit)
+
     def test_mask_from_labels(self, tmp_path):
         labels = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8)
         write_mask(labels, tmp_path / "m.pgm")
@@ -151,6 +158,12 @@ class TestRaw:
         seq = read_raw_sequence(tmp_path / "v.raw", 5, 4, 8, limit=2)
         assert seq.intensity_levels == 256
         assert np.array_equal(seq.frames, frames[:2].astype(np.float64))
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_raises(self, tmp_path, limit):
+        frames_of(8).tofile(tmp_path / "v.raw")
+        with pytest.raises(ValueError, match="at least 1"):
+            read_raw_sequence(tmp_path / "v.raw", 5, 4, 8, limit=limit)
 
     @pytest.mark.parametrize("limit", [None, 1])
     def test_partial_frame_raises(self, tmp_path, limit):

@@ -19,8 +19,10 @@ the next, each call timed on its own.  So a host whose speed drifts between
 runs slows both trees alike.
 
 For every repetition prints each tree's fit time and ``process_frame``
-median and sum, with the ratios B / A; over all repetitions, the fit
-medians and the per-frame figures.  Exits 0 when both trees wrote the same
+median and sum, with the ratios B / A, and the fit's stage seconds
+(``PixelGrid.fit_seconds``: ``kmeanspp_s``, ``em_s``, ``bound_s``, and
+``other_s``, the rest of the fit, which is its bookkeeping) with B / A;
+over all repetitions, the fit medians and the per-frame figures.  Exits 0 when both trees wrote the same
 fitted and final VIMM1 bytes in every repetition, 1 when they differ, and 2
 on a usage error.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -80,6 +83,8 @@ class Tree:
         t0 = time.perf_counter()
         grid = pkg.initialize_grid(history, cfg)
         self.fit_s = time.perf_counter() - t0
+        self.stages = dict(getattr(grid, "fit_seconds", {}))
+        self.stages["other_s"] = self.fit_s - sum(self.stages.values())
         self.fitted = os.path.join(work, "fitted.vimm")
         pkg.save_grid(grid, self.fitted)
         self.model = self.fitted
@@ -140,6 +145,17 @@ def summary(label, fits_a, fits_b, times_a, times_b) -> str:
             f"B {sum_b:.3f} s, B/A {sum_b / sum_a:.3f}")
 
 
+def stage_summary(a, b) -> str:
+    """The fit's stage seconds of trees A and B, with B / A."""
+    parts = []
+    for name in a.stages:
+        if name in b.stages:
+            sa, sb = a.stages[name], b.stages[name]
+            ratio = sb / sa if sa else math.nan
+            parts.append(f"{name} A {sa:.3f} s, B {sb:.3f} s, B/A {ratio:.3f}")
+    return "fit stages: " + "; ".join(parts)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a")
@@ -170,7 +186,8 @@ def main(argv=None) -> int:
             a, b = trees["a"], trees["b"]
             stream([a, b], scene, frames)
             print(summary(f"{scene.name} seed {args.seed} rep {rep}",
-                          [a.fit_s], [b.fit_s], a.times, b.times), flush=True)
+                          [a.fit_s], [b.fit_s], a.times, b.times))
+            print(stage_summary(a, b), flush=True)
             fits_a.append(a.fit_s)
             fits_b.append(b.fit_s)
             all_a += a.times
