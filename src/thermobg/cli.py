@@ -265,6 +265,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise UsageError(f"--sample must be at least 1, got {args.sample}")
     pred_names = _pgm_names(args.pred)
     gt_names = set(_pgm_names(args.gt))
     missing = sorted(set(pred_names) - gt_names)
@@ -273,7 +275,7 @@ def cmd_eval(args) -> int:
     if not pred_names:
         raise ValueError(f"no PGM masks found in {args.pred!r}")
     names = sorted(pred_names)
-    if args.sample is not None and 0 < args.sample < len(names):
+    if args.sample is not None and args.sample < len(names):
         idx = np.linspace(0, len(names) - 1, args.sample).round().astype(int)
         names = [names[i] for i in np.unique(idx)]
 
@@ -381,6 +383,8 @@ def cmd_synth_video(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.frames < 1:
+        raise UsageError(f"--frames must be at least 1, got {args.frames}")
     sizes = [_parse_size(s) for s in (args.size or ["320x240", "640x480"])]
     rows = []
     for width, height in sizes:

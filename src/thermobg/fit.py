@@ -79,10 +79,6 @@ REL_TOL = 1e-5
 # (components x pixels) state.
 _PASS_ELEMENTS = 1 << 15
 _BLOCK_ROWS = 1024
-# What a pass costs beyond its elements, in elements: ~150 us of numpy
-# calls per pass against ~30 ns per element (thermal16-fit, one x86-64
-# core).
-_PASS_COST = 4096
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -705,15 +701,9 @@ class _BlockFit:
                             intensity_levels)
 
     def _passes(self, rows):
-        """Split rows into passes whose (levels x components x pixels)
-        arrays stay within _PASS_ELEMENTS: first rows with few levels from
-        rows with many (_level_split), then, within each group, rows of
-        similar K together."""
-        for group in _level_split(self.k[rows], self.levels.n[rows]):
-            yield from self._k_passes(rows[group])
-
-    def _k_passes(self, rows):
-        """Passes of the rows in descending K, as many rows each as fit."""
+        """Split rows into passes of similar K: the rows in descending K, as
+        many each as keep the pass's (levels x components x pixels) arrays
+        within _PASS_ELEMENTS."""
         k, n_levels = self.k[rows], self.levels.n[rows]
         order = np.lexsort((-n_levels, -k))
         rows, k, n_levels = rows[order], k[order], n_levels[order]
@@ -875,34 +865,6 @@ class _BlockFit:
         if rows.size:
             self.bound_rows.append(rows)
             self.bounds.append(bound)
-
-
-def _level_split(k, n_levels):
-    """Masks of the rows that _passes groups apart: the rows with at most
-    some level count and the rest, where that lowers the estimated cost,
-    else all rows.
-
-    A pass pads every row to its widest, so one row with many levels
-    widens a pass of rows with few.  A group of rows is estimated to
-    compute (its most levels) x (its total K) elements, in passes of
-    _PASS_ELEMENTS, each costing _PASS_COST elements more."""
-    order = np.argsort(n_levels, kind="stable")
-    levels = n_levels[order]
-    cuts = np.flatnonzero(levels[1:] != levels[:-1])  # last row of each count
-    if not cuts.size:
-        return [np.ones(k.size, dtype=bool)]
-    below = np.cumsum(k[order])[cuts]  # total K of the rows up to each cut
-    total = int(k.sum())
-    # the elements of all rows as one group, then of the two groups of
-    # each cut
-    low = np.concatenate(([levels[-1] * total], levels[cuts] * below))
-    high = np.concatenate(([0], levels[-1] * (total - below)))
-    passes = -(-low // _PASS_ELEMENTS) - (-high // _PASS_ELEMENTS)
-    best = int(np.argmin(low + high + _PASS_COST * passes))
-    if best == 0:
-        return [np.ones(k.size, dtype=bool)]
-    few = n_levels <= levels[cuts[best - 1]]
-    return [few, ~few]
 
 
 def _seq_sum(x, axis: int):

@@ -180,7 +180,7 @@ def parse_scenario(text: str) -> VideoScenario:
       event     = <x> <y> <w> <h> <t0> <t1> <mean> <stddev> [<vx> <vy>]
                                                           (repeatable)
     """
-    fields: dict[str, float] = {}
+    fields: dict[str, int] = {}
     background = None
     bimodal: list[BimodalRegion] = []
     events: list[VideoEvent] = []
@@ -200,7 +200,7 @@ def parse_scenario(text: str) -> VideoScenario:
         if key in ("width", "height", "frames", "seed", "levels"):
             if len(nums) != 1:
                 raise ValueError(f"scenario line {lineno}: {key} takes one value")
-            fields[key] = nums[0]
+            fields[key] = _integers(nums, lineno, key)[0]
         elif key == "background":
             if len(nums) != 2:
                 raise ValueError(
@@ -210,18 +210,17 @@ def parse_scenario(text: str) -> VideoScenario:
             if len(nums) != 6:
                 raise ValueError(
                     f"scenario line {lineno}: bimodal takes x y w h mean stddev")
-            bimodal.append(BimodalRegion(int(nums[0]), int(nums[1]),
-                                         int(nums[2]), int(nums[3]),
-                                         nums[4], nums[5]))
+            bimodal.append(BimodalRegion(
+                *_integers(nums[:4], lineno, key), nums[4], nums[5]))
         elif key == "event":
             if len(nums) not in (8, 10):
                 raise ValueError(
                     f"scenario line {lineno}: event takes x y w h t0 t1 mean "
                     f"stddev [vx vy]")
-            vx, vy = (int(nums[8]), int(nums[9])) if len(nums) == 10 else (0, 0)
-            events.append(VideoEvent(int(nums[0]), int(nums[1]), int(nums[2]),
-                                     int(nums[3]), int(nums[4]), int(nums[5]),
-                                     nums[6], nums[7], vx, vy))
+            x, y, w, h, t0, t1, *v = _integers(nums[:6] + nums[8:], lineno,
+                                               key)
+            events.append(VideoEvent(x, y, w, h, t0, t1, nums[6], nums[7],
+                                     *v))
         else:
             raise ValueError(f"scenario line {lineno}: unknown key {key!r}")
 
@@ -229,13 +228,20 @@ def parse_scenario(text: str) -> VideoScenario:
     if missing or background is None:
         need = sorted(missing | ({"background"} if background is None else set()))
         raise ValueError(f"scenario is missing required keys: {', '.join(need)}")
-    return VideoScenario(width=int(fields["width"]),
-                         height=int(fields["height"]),
-                         frames=int(fields["frames"]),
-                         background=background,
-                         seed=int(fields.get("seed", 0)),
-                         levels=int(fields.get("levels", 256)),
+    return VideoScenario(width=fields["width"], height=fields["height"],
+                         frames=fields["frames"], background=background,
+                         seed=fields.get("seed", 0),
+                         levels=fields.get("levels", 256),
                          bimodal=bimodal, events=events)
+
+
+def _integers(nums, lineno: int, key: str) -> list[int]:
+    """The values as ints; a value with a fractional part is an error."""
+    for v in nums:
+        if not v.is_integer():
+            raise ValueError(f"scenario line {lineno}: {key} takes integer "
+                             f"values, got {v:g}")
+    return [int(v) for v in nums]
 
 
 def load_scenario(path) -> VideoScenario:

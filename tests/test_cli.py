@@ -17,7 +17,7 @@ from thermobg.frameio import (encode_pgm, read_mask, read_pgm_sequence,
                               write_pgm)
 from thermobg.synth import (GaussianSpec, adaptation_demo_specs,
                             gen_mixture_samples, gen_video, load_scenario,
-                            quantize_frames)
+                            parse_scenario, quantize_frames)
 
 HISTORY = 12
 
@@ -357,6 +357,19 @@ class TestEval:
                                                  ("0", "0", "5", "1")]
 
 
+    @pytest.mark.parametrize("sample", [0, -3])
+    def test_sample_below_one_is_a_usage_error(self, tmp_path, sample,
+                                               capsys):
+        for name in ("pred", "gt"):
+            (tmp_path / name).mkdir()
+            write_pgm(np.zeros((2, 2), dtype=np.uint8),
+                      tmp_path / name / "a.pgm")
+        argv = ["eval", "--pred", str(tmp_path / "pred"), "--gt",
+                str(tmp_path / "gt"), "--sample", str(sample)]
+        assert main(argv) == EXIT_USAGE
+        assert "--sample" in capsys.readouterr().err
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -434,6 +447,29 @@ class TestSynth:
                 np.where(gt[t] > 0, 255, 0).astype(np.uint8))
 
 
+@pytest.mark.parametrize("line", [
+    "width = 3.7", "height = 4.5", "frames = 10.5", "seed = 0.5",
+    "levels = 256.5", "bimodal = 0.5 0 1 1 50 2", "bimodal = 0 0 1 1.5 50 2",
+    "event = 0.5 0 1 1 0 2 200 5", "event = 0 0 1 1 0 2.7 200 5",
+    "event = 0 0 1 1 0 2 200 5 0.5 0", "event = 0 0 1 1 0 2 200 5 0 -1.5"])
+def test_scenario_integer_fields_reject_fractions(line):
+    text = ("width = 6\nheight = 4\nframes = 12\nbackground = 100 3\n"
+            + line + "\n")
+    with pytest.raises(ValueError, match="scenario line 5"):
+        parse_scenario(text)
+
+
+def test_scenario_integer_fields_accept_whole_floats():
+    scenario = parse_scenario("width = 6.0\nheight = 4\nframes = 1e1\n"
+                              "background = 100 3\n"
+                              "event = 1 1 2.0 2 0 3 200 5 1 0\n")
+    assert (scenario.width, scenario.frames) == (6, 10)
+    assert type(scenario.width) is int
+    event = scenario.events[0]
+    assert (event.width, event.t1, event.vx) == (2, 3, 1)
+    assert type(event.width) is int
+
+
 class TestBench:
     @pytest.mark.parametrize("mode", ["approx", "exact"])
     def test_small_grid_writes_its_manifest(self, tmp_path, mode):
@@ -445,3 +481,12 @@ class TestBench:
         [row] = manifest["outputs"]["results"]
         assert (row["size"], row["frames"]) == ("8x6", 3)
         assert row["fps"] > 0 and row["us_per_pixel"] > 0
+
+    @pytest.mark.parametrize("frames", [0, -1])
+    def test_frames_below_one_is_a_usage_error(self, tmp_path, frames,
+                                               capsys):
+        argv = ["bench", "--size", "8x5", "--frames", str(frames),
+                "--outdir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        assert "--frames" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -1,9 +1,11 @@
 """The batched fit's kernels: ``_seq_sum`` adds in index order whatever the
 shape, axis or memory layout, ``_exp`` is np.exp bit for bit, and
 e_step_rows, m_step_rows and elbo_rows give a pixel the same bits alone as
-in a padded block of pixels."""
+in a padded block of pixels; _BlockFit._passes puts each live row in one
+pass within _PASS_ELEMENTS."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -157,19 +159,22 @@ class TestExp:
         assert not got[6:9].any() and np.isnan(got[9])
 
 
-class TestLevelSplit:
-    def test_wide_rows_go_apart_when_that_saves_work(self):
-        # nine rows of 20 levels and one of 100: together they compute
-        # 100 x 100 elements, apart 20 x 90 + 100 x 10
-        k = np.full(10, 10)
-        n_levels = np.array([20] * 9 + [100])
-        few, many = fit_mod._level_split(k, n_levels)
-        assert few.tolist() == [True] * 9 + [False]
-        assert (few ^ many).all()
-
-    def test_rows_stay_together_when_a_pass_would_cost_more(self):
-        # two rows: splitting saves 10 of 52 elements, less than a pass
-        k = np.array([2, 2])
-        for n_levels in (np.array([8, 13]), np.array([8, 8])):
-            (everyone,) = fit_mod._level_split(k, n_levels)
-            assert everyone.all()
+class TestPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 2000)),
+                    min_size=1, max_size=200), st.data())
+    def test_each_live_row_in_one_pass_within_the_element_cap(self, pixels,
+                                                               data):
+        # each pixel is a (K, distinct levels) pair
+        k, n_levels = (np.array(x, dtype=np.int64) for x in zip(*pixels))
+        block = types.SimpleNamespace(k=k,
+                                      levels=types.SimpleNamespace(n=n_levels))
+        live = np.flatnonzero(data.draw(st.lists(
+            st.booleans(), min_size=k.size, max_size=k.size).filter(any)))
+        passes = list(fit_mod._BlockFit._passes(block, live))
+        together = np.concatenate(passes)
+        assert sorted(together.tolist()) == live.tolist()
+        for rows in passes:
+            if rows.size > 1:
+                assert (rows.size * k[rows].max() * n_levels[rows].max()
+                        <= fit_mod._PASS_ELEMENTS)

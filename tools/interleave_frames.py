@@ -4,7 +4,10 @@
 
 SRC_A and SRC_B are directories holding the ``thermobg`` package, such as the
 ``src`` directories of two checkouts; WORKLOAD names a scene of
-perfbench/scenes.py.  The scene's video is rendered once.  Both trees are
+perfbench/scenes.py, or is ``grid32x24``: a fit-only 32x24 16-bit grid whose
+100 history frames are ``np.rint`` of N(30000, 8^2) drawn by
+``np.random.default_rng(seed)``, fitted at ``--kmax 50``, with no stream.
+The scene's video is rendered once.  Both trees are
 imported in this process under distinct module names, and each follows the
 chain perfbench runs through ``thermobg.cli``: fit the history frames, then
 for each ``run`` call reload the model from its VIMM1 file (with an empty
@@ -22,14 +25,16 @@ For every repetition prints each tree's fit time and ``process_frame``
 median and sum, with the ratios B / A, and the fit's stage seconds
 (``PixelGrid.fit_seconds``: ``kmeanspp_s``, ``em_s``, ``bound_s``, and
 ``other_s``, the rest of the fit, which is its bookkeeping) with B / A;
-over all repetitions, the fit medians and the per-frame figures.  Exits 0 when both trees wrote the same
-fitted and final VIMM1 bytes in every repetition, 1 when they differ, and 2
-on a usage error.
+over all repetitions, the fit medians and the per-frame figures.  Exits 0
+when both trees wrote the same fitted and final VIMM1 bytes (only the
+fitted ones for ``grid32x24``) in every repetition, 1 when they differ, and
+2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -49,6 +54,31 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import numpy as np  # noqa: E402
 from checks import P_BG, THRESHOLD  # noqa: E402
 from scenes import MIN_BLOB, SCENES, render  # noqa: E402
+
+
+GRID = "grid32x24"
+
+
+@dataclasses.dataclass(frozen=True)
+class FitOnly:
+    """A workload fitted and not streamed (the fields Tree and stream
+    read)."""
+
+    name: str
+    levels: int
+    kmax: int
+    history: int = 100
+    runs: int = 0
+
+
+def workload(name, seed):
+    """The named workload and its frames (history, then stream)."""
+    if name == GRID:
+        rng = np.random.default_rng(seed)
+        frames = np.rint(rng.normal(30000.0, 8.0, (100, 24, 32)))
+        return FitOnly(GRID, levels=65536, kmax=50), frames
+    scene = SCENES[name]
+    return scene, render(scene, seed)[0].astype(np.float64)
 
 
 def load_tree(src, name):
@@ -136,13 +166,15 @@ def stream(trees, scene, frames) -> None:
 
 def summary(label, fits_a, fits_b, times_a, times_b) -> str:
     fit_a, fit_b = statistics.median(fits_a), statistics.median(fits_b)
+    fits = (f"{label}: fit{' median' if len(fits_a) > 1 else ''} "
+            f"A {fit_a:.3f} s, B {fit_b:.3f} s, B/A {fit_b / fit_a:.3f}")
+    if not times_a:
+        return fits
     med_a, med_b = statistics.median(times_a), statistics.median(times_b)
     sum_a, sum_b = sum(times_a), sum(times_b)
-    return (f"{label}: fit{' median' if len(fits_a) > 1 else ''} "
-            f"A {fit_a:.3f} s, B {fit_b:.3f} s, B/A {fit_b / fit_a:.3f}; "
-            f"frame median A {med_a * 1e3:.3f} ms, B {med_b * 1e3:.3f} ms, "
-            f"B/A {med_b / med_a:.3f}; summed A {sum_a:.3f} s, "
-            f"B {sum_b:.3f} s, B/A {sum_b / sum_a:.3f}")
+    return (f"{fits}; frame median A {med_a * 1e3:.3f} ms, "
+            f"B {med_b * 1e3:.3f} ms, B/A {med_b / med_a:.3f}; summed "
+            f"A {sum_a:.3f} s, B {sum_b:.3f} s, B/A {sum_b / sum_a:.3f}")
 
 
 def stage_summary(a, b) -> str:
@@ -160,7 +192,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a")
     ap.add_argument("src_b")
-    ap.add_argument("workload", choices=sorted(SCENES))
+    ap.add_argument("workload", choices=sorted(SCENES) + [GRID])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args(argv)
@@ -170,8 +202,8 @@ def main(argv=None) -> int:
     if args.reps < 1:
         ap.error("--reps must be at least 1")
 
-    scene = SCENES[args.workload]
-    frames = render(scene, args.seed)[0].astype(np.float64)
+    scene, frames = workload(args.workload, args.seed)
+    compared = ("fitted", "final") if scene.runs else ("fitted",)
     pkgs = [load_tree(args.src_a, "thermobg_a"),
             load_tree(args.src_b, "thermobg_b")]
     fits_a, fits_b, all_a, all_b, same = [], [], [], [], True
@@ -192,14 +224,15 @@ def main(argv=None) -> int:
             fits_b.append(b.fit_s)
             all_a += a.times
             all_b += b.times
-            for what, bytes_a, bytes_b in zip(("fitted", "final"),
-                                              a.model_bytes(), b.model_bytes()):
+            for what, bytes_a, bytes_b in zip(compared, a.model_bytes(),
+                                              b.model_bytes()):
                 if bytes_a != bytes_b:
                     print(f"rep {rep}: {what} VIMM1 files differ")
                     same = False
     print(summary(f"{scene.name} seed {args.seed} all {args.reps} reps",
                   fits_a, fits_b, all_a, all_b))
-    print("fitted and final models identical" if same else "models differ")
+    print(f"{' and '.join(compared)} models identical" if same
+          else "models differ")
     return 0 if same else 1
 
 
