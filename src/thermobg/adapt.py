@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -179,21 +180,32 @@ class EpsilonResult:
     log_p: float
 
 
-def match_rows(state: MixtureState, x) -> tuple[np.ndarray, np.ndarray]:
-    """Per pixel, the index of the component minimizing the Mahalanobis
-    distance |x - mu_k| / sigma_k, and that distance squared.  Ties keep
-    the lowest index."""
-    x = np.asarray(x, dtype=np.float64)[:, None]
-    d2 = (x - state.means) * (x - state.means) / state.variances
-    d2[np.arange(state.capacity) >= state.k[:, None]] = np.inf
-    c = np.argmin(d2, axis=1)
-    return c, d2[np.arange(c.size), c]
+class Match(NamedTuple):
+    """Per pixel, the matched component's index c, its log density log f(x)
+    at the pixel's sample, and its weight, mean and variance."""
+    c: np.ndarray
+    log_f: np.ndarray
+    weight: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+
+
+def match_rows(state: MixtureState, distances) -> Match:
+    """Per pixel, the component minimizing the Mahalanobis distance
+    |x - mu_k| / sigma_k in ``state.distances(x)``, ties to the lowest
+    index, gathered by flat index with its log density (log_density_rows)."""
+    c = distances.argmin(axis=1)
+    at = np.arange(0, distances.size, state.capacity) + c
+    var = state.variances.take(at)
+    return Match(c, _log_density(var, distances.take(at)),
+                 state.weights.take(at), state.means.take(at), var)
 
 
 def match_component(model: MixtureModel, x: float) -> tuple[int, float]:
     """match_rows for one model: the matched index and its distance."""
-    c, d2 = match_rows(MixtureState.from_models([model]), [float(x)])
-    return int(c[0]), math.sqrt(d2[0])
+    state = MixtureState.from_models([model])
+    d2 = state.distances([float(x)])
+    return int(match_rows(state, d2).c[0]), math.sqrt(d2[0].min())
 
 
 def epsilon_star_exact_rows(pool: SamplePool, x, log_density=-np.inf
@@ -246,14 +258,14 @@ def epsilon_star_exact_rows(pool: SamplePool, x, log_density=-np.inf
     top, bottom = np.fmax.reduceat(flat, first), np.fmin.reduceat(flat, first)
     n_eps = np.where(count > 0, np.maximum(1.0, np.ceil(top - bottom)), 0.0)
     n_eps = _capped_length(n_eps, 0.0, log_density)
-    long = np.flatnonzero(n_eps > pool.maxlen)
+    long = (n_eps > pool.maxlen).nonzero()[0]
     if long.size:
         q = _window_lower_bound(samples[long], x[long], count[long],
                                 n_eps[long])
         with np.errstate(divide="ignore"):
             n_eps[long] = _capped_length(n_eps[long], 0.0, np.log(q))
 
-    rows = np.flatnonzero(n_eps > 0)
+    rows = (n_eps > 0).nonzero()[0]
     if rows.size == 0:
         return eps, p, log_p
     integer = _integer_levels(pool, x)
@@ -319,8 +331,8 @@ def _exact_chunk(samples, x, count, n_eps, integer):
     strictly inside the eps = 1 window and counts twice there, where the
     single histogram would count it once.
     """
-    point_row = np.repeat(np.arange(n_eps.size), n_eps)
-    starts = np.cumsum(n_eps) - n_eps
+    point_row = np.arange(n_eps.size).repeat(n_eps)
+    starts = n_eps.cumsum() - n_eps
     grid = 1 + np.arange(point_row.size) - starts[point_row]
     twice = (_integer_twice(samples, x, n_eps, point_row) if integer
              else _definition_twice(samples, x, point_row, grid))
@@ -342,13 +354,13 @@ def _integer_twice(samples, x, n_eps, point_row):
     counting a row's samples into its last bin back to back would make
     every increment wait for the one before."""
     bins = n_eps + 2
-    row_first = np.cumsum(bins) - bins
+    row_first = bins.cumsum() - bins
     d = np.subtract(samples.T, x, order="C")
     np.abs(d, out=d)
     np.fmin(d, bins - 1.0, out=d)
     d += row_first
-    running = np.cumsum(np.bincount(d.astype(np.intp).reshape(-1),
-                                    minlength=int(bins.sum())))
+    running = np.bincount(d.astype(np.intp).reshape(-1),
+                          minlength=int(bins.sum())).cumsum()
     pairs = running[1:] + running[:-1]  # C(e) + C(e - 1) at bin e - 1
     return pairs[point_row * 2 + np.arange(point_row.size)] \
         - 2 * samples.shape[1] * point_row
@@ -390,7 +402,8 @@ def epsilon_star_approx_rows(w, mu, var, x, log_density=-np.inf
     maximized over the integer grid 1 .. max(1, ceil(EPSILON_MAX_SIGMAS *
     sigma)).  Returns the arrays (eps*, p, log p).  Computed in the log
     domain so far-tail samples keep a meaningful value instead of
-    underflowing to zero.
+    underflowing to zero.  Each w must be positive (a model's weights are
+    at least 1/N): log w is taken as it is.
 
     The window's mass is at most 1, so p~(eps) <= w / (2 eps).  Given
     ``log_density``, the matched component's log density log f(x) per
@@ -398,44 +411,52 @@ def epsilon_star_approx_rows(w, mu, var, x, log_density=-np.inf
     (_capped_length), and a pixel with no such eps gets (1, 0, -inf); the
     default -inf keeps the whole grid.  As in epsilon_star_exact_rows, the
     matched flags log f(x) >= log p(eps*) are then the full grid's, and on
-    every miss so are eps*, p and log p.
+    every miss so are eps*, p and log p.  The grids left are laid end to
+    end and searched in one pass when their points fit _PASS_BYTES.
     """
-    w, mu, var, x = (np.asarray(a, dtype=np.float64) for a in (w, mu, var, x))
+    eps, log_p = _approx_rows(
+        *(np.asarray(a, dtype=np.float64) for a in (w, mu, var, x)),
+        log_density)
+    return eps, np.where(log_p > -745.0, np.exp(log_p), 0.0), log_p
+
+
+def _approx_rows(w, mu, var, x, log_density):
+    """epsilon_star_approx_rows on float64 arrays without p: (eps*, log p)."""
     sigma = np.sqrt(var)
-    n_eps = np.maximum(1.0, np.ceil(EPSILON_MAX_SIGMAS * sigma))
-    with np.errstate(divide="ignore"):
-        log_w = np.where(w > 0.0, np.log(w), -np.inf)
-    n_eps = _capped_length(n_eps, log_w, log_density)
+    log_w = np.log(w)
+    n_eps = _capped_length(np.maximum(1.0, np.ceil(EPSILON_MAX_SIGMAS * sigma)),
+                           log_w, log_density)
     eps = np.ones(x.size, dtype=np.int64)
     log_p = np.full(x.size, -np.inf)
-    live = np.flatnonzero(n_eps > 0)
-    for lo, hi in _row_chunks(8 * n_eps[live], _PASS_BYTES):
+    live = (n_eps > 0).nonzero()[0]
+    lengths = n_eps[live]
+    for lo, hi in _row_chunks(8 * lengths, _PASS_BYTES):
         rows = live[lo:hi]
-        eps[rows], log_p[rows] = _approx_chunk(
-            log_w[rows], mu[rows], sigma[rows], x[rows], n_eps[rows])
-    p = np.where(log_p > -745.0, np.exp(log_p), 0.0)
-    return eps, p, log_p
+        eps[rows], log_p[rows] = _approx_chunk(log_w, mu, sigma, x, rows,
+                                               lengths[lo:hi])
+    return eps, log_p
 
 
-def _approx_chunk(log_w, mu, sigma, x, n_eps):
-    """epsilon_star_approx_rows on a range of rows: (eps*, log p)."""
-    starts = np.cumsum(n_eps) - n_eps
-    row = np.repeat(np.arange(n_eps.size), n_eps)
-    grid = (1 + np.arange(row.size) - starts[row]).astype(np.float64)
+def _approx_chunk(log_w, mu, sigma, x, rows, n_eps):
+    """epsilon_star_approx_rows on the given rows of the per-pixel arrays,
+    with n_eps >= 1 grid points each: (eps*, log p) per row."""
+    starts = n_eps.cumsum() - n_eps
+    local = np.arange(rows.size).repeat(n_eps)  # each point's row here
+    row = rows[local]
+    grid = np.arange(1.0, row.size + 1) - starts.repeat(n_eps)
     xr, mur, sr = x[row], mu[row], sigma[row]
     za = (xr - grid - mur) / sr
     zb = (xr + grid - mur) / sr
     lower = xr <= mur  # keep both endpoints in the lower tail for accuracy
     l_lo = log_ndtr(np.where(lower, za, -zb))
     l_hi = log_ndtr(np.where(lower, zb, -za))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mass = l_hi + np.log1p(-np.exp(np.minimum(l_lo - l_hi, -0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+        log_mass = l_hi + np.log1p(-np.exp(l_lo - l_hi))
     log_mass = np.where(l_lo < l_hi, log_mass, -np.inf)
     log_p = log_w[row] + log_mass - np.log(2.0 * grid)
 
-    best, lp = _first_argmax(log_p, starts, row)
-    found = lp > -np.inf
-    return np.where(found, grid[best], 1).astype(np.int64), lp
+    best, lp = _first_argmax(log_p, starts, local)
+    return np.where(lp > -np.inf, best - starts + 1, 1), lp
 
 
 def epsilon_star_approx(model: MixtureModel, c: int,
@@ -449,94 +470,87 @@ def epsilon_star_approx(model: MixtureModel, c: int,
 
 def log_density_rows(mu, var, x) -> np.ndarray:
     """Log density of N(mu, var) at x per pixel: the matched component's
-    log f(x) that decide_rows compares and the eps searches are cut by."""
+    log f(x) that the decision compares and the eps searches are cut by."""
     mu, var, x = (np.asarray(a, dtype=np.float64) for a in (mu, var, x))
-    return -0.5 * (_LOG_2PI + np.log(var)) - 0.5 * (x - mu) * (x - mu) / var
+    return _log_density(var, (x - mu) * (x - mu) / var)
 
 
-def decide_rows(log_density, log_p_eps_star) -> np.ndarray:
-    """True where the sample is already represented by the model: the
-    matched component's density at x (log_density_rows) is at least the
-    eps-neighborhood probability.
-
-    The comparison runs in the log domain, so a density that underflows in
-    the far tail still loses to a nonzero neighborhood mass.
-    """
-    return np.asarray(log_density) >= log_p_eps_star
+def _log_density(var, d2):
+    """log N(x; mu, var) from d2 = (x - mu)^2 / var: scaling by 2**-1 is
+    exact but for subnormals, so 0.5 d2 is 0.5 (x - mu) (x - mu) / var."""
+    return -0.5 * (_LOG_2PI + np.log(var)) - 0.5 * d2
 
 
 def decide(model: MixtureModel, c: int, x: float, p_eps_star: float,
            log_p_eps_star: float | None = None) -> bool:
-    """decide_rows for component c of one model; the log probability is
-    taken from p_eps_star when not given."""
+    """adapt_rows's decision for component c of one model; the log
+    probability is taken from p_eps_star when not given."""
     if log_p_eps_star is None:
         log_p_eps_star = math.log(p_eps_star) if p_eps_star > 0.0 else -math.inf
     log_f = log_density_rows([model.means[c]], [model.variances[c]],
                              [float(x)])
-    return bool(decide_rows(log_f, log_p_eps_star)[0])
+    return bool(log_f[0] >= log_p_eps_star)
 
 
-def update_matched_rows(state: MixtureState, rows, c, x) -> None:
-    """Following-the-leader update of component c[i] of pixel rows[i] with
-    sample x[i], in place.
-
-    All right-hand sides use the pre-update parameter values.  Pruning and
-    renormalization are left to prune_renormalize_rows.
+def update_rows(state: MixtureState, match: Match, x, matched,
+                eps_star) -> None:
+    """Update or spawn, in place, for every pixel given its pre-update
+    Match, sample x, matched flag and eps* (a positive integer).  A matched
+    pixel's weights become w + ([slot is c] - w) / N; with denom = N w_c + 1
+    component c gets mean mu + (x - mu) / denom and variance var + N w_c
+    (x - mu)^2 / denom^2 - var / denom.  A miss scales the weights by
+    (N-1)/N and spawns in padding slot k weight 1/N (the matched expression
+    at weight 0), mean x and variance ((2 eps*)^2 - 1) / 12.  Variances are
+    floored at VARIANCE_FLOOR.  Both branches run over all pixels and each
+    pixel's slot takes its own by flat index; prune_renormalize_rows follows.
     """
-    n = state.history_len
-    weights = state.weights[rows]
-    w_c = weights[np.arange(len(rows)), c]
-    denom = w_c * n + 1.0
-    one_hot = np.arange(state.capacity) == np.asarray(c)[:, None]
-    state.weights[rows] = weights + (one_hot - weights) / n
+    n, k = float(state.history_len), state.k
+    grown = k + ~matched  # a miss adds a component
+    state.reserve(int(grown.max()))
+    cap = state.capacity
+    col = np.where(matched, match.c, k)  # the slot each pixel writes
+    one_hot = np.arange(cap) == col[:, None]
+    w = state.weights
+    state.weights = np.where(matched[:, None] | one_hot, w + (one_hot - w) / n,
+                             w * ((n - 1.0) / n))
 
-    mean = state.means[rows, c]
-    var = state.variances[rows, c]
+    slot = np.arange(0, k.size * cap, cap) + col
+    mean, var, wn = match.mean, match.var, match.weight * n
+    denom = wn + 1.0
     diff = x - mean
-    state.means[rows, c] = mean + diff / denom
-    var_c = var + w_c * n * diff * diff / (denom * denom) - var / denom
-    state.variances[rows, c] = np.maximum(var_c, VARIANCE_FLOOR)
+    state.means.put(slot, np.where(matched, mean + diff / denom, x))
+    var_c = var + wn * diff * diff / (denom * denom) - var / denom
+    var_new = ((2.0 * eps_star) ** 2 - 1.0) / 12.0
+    state.variances.put(slot, np.maximum(np.where(matched, var_c, var_new),
+                                         VARIANCE_FLOOR))
+    state.k = grown
+
+
+def _component(model: MixtureModel, c: int) -> Match:
+    """Component c of a one-pixel state's model as a Match (no log f)."""
+    return Match(np.array([c]), None, np.array([model.weights[c]]),
+                 np.array([model.means[c]]), np.array([model.variances[c]]))
 
 
 def update_matched(model: MixtureModel, c: int, x: float) -> MixtureModel:
-    """update_matched_rows then prune_renormalize_rows for one model:
-    afterwards, weights below 1/N are pruned and the remainder
+    """update_rows on a matched sample, then prune_renormalize_rows, for
+    one model: afterwards, weights below 1/N are pruned and the remainder
     renormalized."""
     state = MixtureState.from_models([model])
-    update_matched_rows(state, [0], [c], [float(x)])
+    update_rows(state, _component(model, c), np.array([float(x)]),
+                np.array([True]), np.ones(1, dtype=np.int64))
     prune_renormalize_rows(state)
     return state.model(0)
 
 
-def spawn_rows(state: MixtureState, rows, x, eps_star) -> None:
-    """Create a component at each unexplained sample x[i] of pixel rows[i],
-    in place.
-
-    The newcomer gets weight 1/N, mean x and the variance of a discrete
-    uniform spanning 2*eps_star, ((2 eps)^2 - 1) / 12; existing weights are
-    scaled to sum (N-1)/N.  Pruning and renormalization are left to
-    prune_renormalize_rows.
-    """
-    if len(rows) == 0:
-        return
-    n = state.history_len
-    k = state.k[rows]
-    state.reserve(int(k.max()) + 1)
-    state.weights[rows] *= (n - 1.0) / n
-    state.weights[rows, k] = 1.0 / n
-    state.means[rows, k] = x
-    var_new = ((2.0 * np.asarray(eps_star)) ** 2 - 1.0) / 12.0
-    state.variances[rows, k] = np.maximum(var_new, VARIANCE_FLOOR)
-    state.k[rows] = k + 1
-
-
 def spawn_component(model: MixtureModel, x: float, eps_star: int) -> MixtureModel:
-    """spawn_rows then prune_renormalize_rows for one model; eps_star must
-    be a positive integer."""
+    """update_rows on a missed sample, then prune_renormalize_rows, for one
+    model; eps_star must be a positive integer."""
     if eps_star < 1:
         raise ValueError("eps_star must be a positive integer")
     state = MixtureState.from_models([model])
-    spawn_rows(state, [0], [float(x)], [eps_star])
+    update_rows(state, _component(model, 0), np.array([float(x)]),
+                np.array([False]), np.array([eps_star]))
     prune_renormalize_rows(state)
     return state.model(0)
 
@@ -549,17 +563,17 @@ def prune_renormalize_rows(state: MixtureState) -> None:
     if n > MAX_HISTORY_LEN:
         raise ValueError(f"history_len above {MAX_HISTORY_LEN} is not supported")
     kept = state.weights >= 1.0 / n  # padding slots weigh 0
-    k = np.count_nonzero(kept, axis=1)
-    empty = np.flatnonzero(k == 0)
-    if empty.size:  # keep the heaviest component rather than an empty model
-        kept[empty, np.argmax(state.weights[empty], axis=1)] = True
+    k = kept.sum(axis=1)
+    if not k.all():  # keep the heaviest component rather than an empty model
+        empty = (k == 0).nonzero()[0]
+        kept[empty, state.weights[empty].argmax(axis=1)] = True
         k[empty] = 1
     weights = np.where(kept, state.weights, 0.0)
     weights /= fsum_rows(weights)[:, None]
 
-    moved = np.flatnonzero(k != state.k)
+    moved = (k != state.k).nonzero()[0]
     if moved.size:
-        order = np.argsort(~kept[moved], axis=1, kind="stable")
+        order = (~kept[moved]).argsort(axis=1, kind="stable")
         pad = np.arange(state.capacity) >= k[moved][:, None]
         at = (moved[:, None], order)
         state.means[moved] = np.where(pad, 0.0, state.means[at])
@@ -596,19 +610,22 @@ def fsum_rows(values) -> np.ndarray:
     return high @ ones + (values - high) @ ones
 
 
-def adapt_rows(state: MixtureState, x,
-               pool: SamplePool | None = None) -> np.ndarray:
-    """One adaptation step for every pixel of the state, in place: match,
-    take the matched component's log density log f(x), evaluate the
-    eps-neighborhood probability, decide, then update the matched pixels,
-    spawn on the others, and prune and renormalize all.  Returns the
+def adapt_rows(state: MixtureState, x, pool: SamplePool | None = None,
+               distances=None) -> np.ndarray:
+    """One adaptation step for every pixel of the state, in place: match
+    and take log f(x) from ``distances``, the pass of state.distances(x)
+    (made here if not given), evaluate the eps-neighborhood probability,
+    decide, update or spawn, then prune and renormalize.  Returns the
     per-pixel matched flags.
 
-    The decision and the eps search share log f(x): only the eps whose
-    bound 1 / (2 eps) (w / (2 eps) in memory-efficient mode) reaches f(x)
-    can make a pixel miss, so only those are evaluated.  The matched flags,
-    and eps* on every miss, are those of the full grid (see
-    epsilon_star_exact_rows), so the models are too.
+    A sample is matched, already represented by the model, when log f(x)
+    is at least log p(eps*): in the log domain a density that underflows in
+    the far tail still loses to a nonzero neighborhood mass.  The decision
+    and the eps search share log f(x): only the eps whose bound 1 / (2 eps)
+    (w / (2 eps) in memory-efficient mode) reaches f(x) can make a pixel
+    miss, so only those are evaluated.  The matched flags, and eps* on
+    every miss, are those of the full grid (see epsilon_star_exact_rows),
+    so the models are too.
 
     Given a ``pool``, the step runs in exact-history mode: it reads the
     neighborhoods from the pool and pushes x into it afterwards.  Without
@@ -616,20 +633,15 @@ def adapt_rows(state: MixtureState, x,
     Every x must be finite.
     """
     x = np.asarray(x, dtype=np.float64)
-    c, _ = match_rows(state, x)
-    rows = np.arange(state.n_pixels)
-    mean, var = state.means[rows, c], state.variances[rows, c]
-    log_f = log_density_rows(mean, var, x)
+    match = match_rows(state, state.distances(x) if distances is None
+                       else distances)
     if pool is not None:
-        eps, _, log_p = epsilon_star_exact_rows(pool, x, log_f)
+        eps, _, log_p = epsilon_star_exact_rows(pool, x, match.log_f)
     else:
-        eps, _, log_p = epsilon_star_approx_rows(state.weights[rows, c], mean,
-                                                 var, x, log_f)
-    matched = decide_rows(log_f, log_p)
-    hit = np.flatnonzero(matched)
-    miss = np.flatnonzero(~matched)
-    update_matched_rows(state, hit, c[hit], x[hit])
-    spawn_rows(state, miss, x[miss], eps[miss])
+        eps, log_p = _approx_rows(match.weight, match.mean, match.var, x,
+                                  match.log_f)
+    matched = match.log_f >= log_p
+    update_rows(state, match, x, matched, eps)
     prune_renormalize_rows(state)
     if pool is not None:
         pool.push(x)
@@ -652,12 +664,16 @@ def adapt(model: MixtureModel, x: float,
 
 def _row_chunks(cost, limit: int):
     """Contiguous row ranges (lo, hi) whose summed cost stays within limit;
-    a row costing more gets a range of its own."""
-    ends = np.cumsum(cost)
+    a row costing more gets a range of its own, and all rows make one
+    range when their total fits."""
+    ends = cost.cumsum()
+    if ends.size and ends[-1] <= limit:
+        yield 0, ends.size
+        return
     lo = 0
     while lo < ends.size:
         base = ends[lo - 1] if lo else 0
-        hi = int(np.searchsorted(ends, base + limit, side="right"))
+        hi = int(ends.searchsorted(base + limit, side="right"))
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi
@@ -689,13 +705,13 @@ def _capped_length(n_eps, log_mass, log_ref):
     computed log p in approx mode) lies below the computed log r by more
     than the few ulp by which a computed log can be off.  Hence the computed
     log of p(eps), or of any p no larger, stays below log r, and p(eps)
-    itself below r.  A zero m or r keeps the whole grid.
+    itself below r.  A zero r keeps the whole grid; m must be positive
+    (log m finite), so no NaN arises.
     """
-    with np.errstate(invalid="ignore"):
-        margin = _CEILING_MARGIN * (1.0 + np.abs(log_mass) + np.abs(log_ref))
-        bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
-    half = 0.5 * np.exp(bound)  # not NaN: fmin returned the cap for NaN
-    return np.minimum(np.floor(half), n_eps).astype(np.int64)
+    margin = _CEILING_MARGIN * (1.0 + np.abs(log_mass) + np.abs(log_ref))
+    bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
+    half = 0.5 * np.exp(bound)
+    return np.minimum(half, n_eps).astype(np.int64)  # n_eps is whole: floors
 
 
 def _first_argmax(values, starts, row):
@@ -703,7 +719,7 @@ def _first_argmax(values, starts, row):
     names each entry's row), the flat index of the first maximum and the
     maximum itself."""
     top = np.maximum.reduceat(values, starts)
-    hits = np.flatnonzero(values == top[row])
+    hits = (values == top[row]).nonzero()[0]
     hit_row = row[hits]
     first = np.empty(hits.size, dtype=bool)  # the first hit of its row
     first[0] = True

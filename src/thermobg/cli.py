@@ -169,7 +169,7 @@ def _load_frames(args, limit: int | None = None
     """The input frames (the first ``limit`` of them, if given) and the
     file name each frame's outputs are written under."""
     if args.raw_size:
-        w, h = _parse_size(args.raw_size)
+        w, h = _parse_size(args.raw_size, "--raw-size")
         seq = frameio.read_raw_sequence(args.input, w, h, args.depth,
                                         args.endian, limit)
         return seq, [f"frame_{i:06d}.pgm" for i in range(seq.n_frames)]
@@ -177,12 +177,14 @@ def _load_frames(args, limit: int | None = None
     return seq, [os.path.basename(p) for p in paths]
 
 
-def _parse_size(text: str) -> tuple[int, int]:
+def _parse_size(text: str, flag: str) -> tuple[int, int]:
     try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = (int(v) for v in text.lower().split("x"))
     except ValueError as exc:
-        raise UsageError(f"bad --size/--raw-size {text!r}, expected WxH") from exc
+        raise UsageError(f"bad {flag} {text!r}, expected WxH") from exc
+    if min(w, h) < 1:
+        raise UsageError(f"{flag} {text!r}: width and height must be at least 1")
+    return w, h
 
 
 def cmd_fit(args) -> int:
@@ -385,7 +387,7 @@ def cmd_synth_video(args) -> int:
 def cmd_bench(args) -> int:
     if args.frames < 1:
         raise UsageError(f"--frames must be at least 1, got {args.frames}")
-    sizes = [_parse_size(s) for s in (args.size or ["320x240", "640x480"])]
+    sizes = [_parse_size(s, "--size") for s in args.size or ["320x240", "640x480"]]
     rows = []
     for width, height in sizes:
         elapsed, fps, us_per_px = _bench_one(width, height, args)

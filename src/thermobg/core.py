@@ -136,6 +136,15 @@ class MixtureState:
     def models(self) -> list[MixtureModel]:
         return [self.model(i) for i in range(self.n_pixels)]
 
+    def distances(self, x) -> np.ndarray:
+        """(x[p] - mu)^2 / sigma^2 from sample x[p] to each component of
+        pixel p, (P, K_cap), +inf on padding: classify and match share it."""
+        d2 = np.asarray(x, dtype=np.float64)[:, None] - self.means
+        d2 *= d2
+        d2 /= self.variances
+        np.putmask(d2, self.k[:, None] <= np.arange(self.capacity), np.inf)
+        return d2
+
     def reserve(self, capacity: int) -> None:
         """Grow K_cap to at least ``capacity`` slots per pixel."""
         extra = capacity - self.capacity

@@ -21,7 +21,7 @@ from .core import MixtureModel, MixtureState
 from .fit import fit  # noqa: F401  perfbench/pipeline.py wraps engine.fit
 from .fit import FitConfig, fit_rows
 from .frameio import FrameSequence
-from .segment import (FOREGROUND, MaskFrame, SegmentationConfig, blob_filter,
+from .segment import (MaskFrame, SegmentationConfig, blob_filter,
                       posterior_bg_rows)
 
 _FORMAT_MAGIC = "VIMM1"
@@ -111,38 +111,39 @@ def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
     """Classify every pixel of one frame, then adapt its model, as one
     vectorised pass over the grid.
 
-    Classification uses the pre-update models; the frame-global blob filter
-    runs on the raw labels.  A non-finite sample is labelled foreground
-    (posterior 0) and its pixel's model and pool are left untouched.
-    Returns the filtered MaskFrame with the background posterior attached;
-    the grid state (and pool, if the grid has one) is updated in place
-    unless ``update`` is False.
+    The posterior and the match read one pass of squared distances
+    (MixtureState.distances).  Classification uses the pre-update models;
+    the frame-global blob filter runs on the raw labels.  A non-finite
+    sample is labelled foreground (posterior 0) and its pixel's model and
+    pool are left untouched.  Returns the filtered MaskFrame with the
+    background posterior attached; the grid state (and pool, if the grid
+    has one) is updated in place unless ``update`` is False.
     """
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape != (grid.height, grid.width):
         raise ValueError(
             f"frame shape {frame.shape} does not match grid "
             f"{(grid.height, grid.width)}")
-    flat = frame.reshape(-1)
+    flat, cfg = frame.reshape(-1), grid.seg_config
     finite = np.isfinite(flat)
-    all_finite = bool(finite.all())
-    posterior = posterior_bg_rows(grid.state, flat, grid.seg_config)
+    all_finite = finite.all()
+    d2 = grid.state.distances(flat)
+    posterior = posterior_bg_rows(grid.state, flat, cfg, d2)
     if not all_finite:
         posterior[~finite] = 0.0
-    labels = np.where(posterior >= grid.seg_config.decision_threshold,
-                      0, FOREGROUND).astype(np.uint8)
+    labels = (posterior < cfg.decision_threshold).view(np.uint8)  # 1: fg
     raw = MaskFrame(grid.width, grid.height,
                     labels.reshape(grid.height, grid.width),
                     posterior.reshape(grid.height, grid.width))
-    mask = blob_filter(raw, grid.seg_config)
+    mask = blob_filter(raw, cfg)
 
     if update and all_finite:
-        adapt_rows(grid.state, flat, grid.pool)
+        adapt_rows(grid.state, flat, grid.pool, d2)
     elif update:
-        rows = np.flatnonzero(finite)
+        rows = finite.nonzero()[0]
         state = grid.state.take(rows)
         pool = grid.pool.take(rows) if grid.pool is not None else None
-        adapt_rows(state, flat[rows], pool)
+        adapt_rows(state, flat[rows], pool, d2[rows])
         grid.state.put(rows, state)
         if pool is not None:
             grid.pool.put(rows, pool)

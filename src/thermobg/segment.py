@@ -5,12 +5,13 @@ The background posterior follows the unnormalized Bayes form
     p(bg | x) = p(x | bg) * p_bg / (p(x | bg) + p(x | fg))
 
 with a uniform foreground model p(x | fg) = 1/L over the L intensity levels.
-The denominator is kept exactly in this form (no prior weighting inside it);
-the result is clamped to [0, 1] defensively.
+The denominator is kept exactly in this form (no prior weighting inside it),
+so the posterior lies in [0, p_bg).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,35 +65,36 @@ class MaskFrame:
 
 
 def posterior_bg_rows(state: MixtureState, x: np.ndarray,
-                      cfg: SegmentationConfig) -> np.ndarray:
+                      cfg: SegmentationConfig, distances=None) -> np.ndarray:
     """Background posterior of sample x[p] under pixel p's mixture, for
-    every pixel of the state at once, in [0, 1].
+    every pixel of the state at once, in [0, p_bg).
 
-    The density is summed component by component in model order, one
-    column at a time, so every pixel's sum rounds the same way whatever the
-    other pixels hold.  A padding slot adds weight 0 times a finite density.
+    The densities exp(-0.5 d2) / sqrt(2 pi var) read the squared distances
+    d2 of ``state.distances(x)``, or ``distances`` when given; -0.5 d2 has
+    the bits of -0.5 (x - mu)^2 / var wherever exp can tell them apart.
+    The weighted densities are added column by column in model order, so
+    a pixel's sum does not depend on the other pixels; padding adds 0.
     """
-    diff = np.asarray(x, dtype=np.float64)[:, None] - state.means
-    var = state.variances
-    pdf = np.exp(-0.5 * diff * diff / var) / np.sqrt(2.0 * math.pi * var)
-    terms = state.weights * pdf
-    d = np.zeros(state.n_pixels)
-    for col in terms.T:
-        d += col
-    p = cfg.p_bg * d / (d + 1.0 / state.intensity_levels)
-    return np.clip(p, 0.0, 1.0)
+    d2 = state.distances(x) if distances is None else distances
+    pdf = np.exp(-0.5 * d2) / np.sqrt(2.0 * math.pi * state.variances)
+    d = functools.reduce(np.add, (state.weights * pdf).T)
+    return cfg.p_bg * d / (d + 1.0 / state.intensity_levels)
 
 
 def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:
     """Relabel connected foreground blobs smaller than min_blob_area as
-    background.  Idempotent; never adds foreground."""
+    background.  Idempotent; never adds foreground.  Fewer foreground
+    pixels than min_blob_area make only small blobs: no labelling pass."""
     labels = np.asarray(mask.labels, dtype=np.uint8)
-    if cfg.min_blob_area <= 1 or not labels.any():
+    if cfg.min_blob_area <= 1:
         return MaskFrame(mask.width, mask.height, labels.copy(), mask.posterior)
+    foreground = labels == FOREGROUND
+    if np.count_nonzero(foreground) < cfg.min_blob_area:
+        return MaskFrame(mask.width, mask.height,
+                         np.where(foreground, BACKGROUND, labels),
+                         mask.posterior)
     structure = _STRUCTURE_8 if cfg.connectivity == 8 else _STRUCTURE_4
-    blobs, n_blobs = ndimage.label(labels == FOREGROUND, structure=structure)
-    if n_blobs == 0:
-        return MaskFrame(mask.width, mask.height, labels.copy(), mask.posterior)
+    blobs, n_blobs = ndimage.label(foreground, structure=structure)
     areas = np.bincount(blobs.ravel(), minlength=n_blobs + 1)
     small = areas < cfg.min_blob_area
     small[0] = False  # index 0 is the background

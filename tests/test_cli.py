@@ -490,3 +490,21 @@ class TestBench:
         assert main(argv) == EXIT_USAGE
         assert "--frames" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, size", [
+    ("bench", "--size=0x5"), ("bench", "--size=-3x4"), ("bench", "--size=5x0"),
+    ("fit", "--raw-size=0x4"), ("fit", "--raw-size=-2x4"),
+    ("run", "--raw-size=4x0")])
+def test_size_below_one_is_a_usage_error(tmp_path, capsys, command, size):
+    # the input and model do not exist: the size is checked before any read
+    missing = str(tmp_path / "missing")
+    argv = {"bench": ["bench", size, "--frames", "2", "--outdir", missing],
+            "fit": ["fit", "--input", missing, size, "--out",
+                    str(tmp_path / "out" / "m.vimm")],
+            "run": ["run", "--input", missing, size, "--model", missing,
+                    "--outdir", str(tmp_path / "out")]}[command]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert size.split("=")[0] in err and "at least 1" in err
+    assert not (tmp_path / "out").exists() and not os.path.exists(missing)

@@ -1,6 +1,7 @@
-"""Smoke test of tools/interleave_frames.py, which the fit and frame
-timings of perf changes rely on: run on the package against itself, it
-must exit 0 and find the two trees' models identical."""
+"""Smoke tests of the timing tools perf changes rely on:
+tools/interleave_frames.py, run on the package against itself, must exit 0
+and find the two trees' models identical; tools/run_phases.py must exit 0
+and split each call of the chain into its phases."""
 
 import subprocess
 import sys
@@ -18,3 +19,19 @@ def test_interleave_frames_runs_a_tree_against_itself():
     assert done.returncode == 0, done.stdout + done.stderr
     assert "fitted and final models identical" in done.stdout
     assert "fit stages: kmeanspp_s" in done.stdout
+
+
+def test_run_phases_splits_each_call():
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "run_phases.py"), src,
+         "gray8-exact"], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = {line.split(":")[0]: line for line in done.stdout.splitlines()}
+    assert lines["fit"].startswith("fit: exit 0")
+    run = lines["run0"]
+    assert run.startswith("run0: exit 0") and "400 frames" in run
+    for phase in ("decode", "process_frame", "write", "close", "load",
+                  "save", "rest"):
+        assert f" {phase} " in run, phase
+    assert "400 sends" in run
