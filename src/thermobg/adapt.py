@@ -70,10 +70,12 @@ class SamplePool:
     partly filled pools are read alike: fmax and fmin skip NaN, a sort puts
     it last, and it fails every comparison.
 
-    ``off_grid[p]`` counts pixel p's stored samples that are not integers
-    below 2**51 in magnitude, so the exact eps search need not rescan the
-    samples each frame to pick its kernel.  The three arrays are read-only
-    views: only the methods here write them, so the count never goes stale.
+    ``integral`` holds only if every stored sample is an integer below
+    2**51 in magnitude; it picks the exact eps kernel without a rescan.
+    A push or put can only clear it, so it may stay False once the last
+    non-integer has left, which costs speed, not results: both kernels
+    agree on integers.  All three are read-only; only the methods here
+    write them, so the flag never claims too much.
     """
 
     def __init__(self, n_pixels: int, maxlen: int):
@@ -81,7 +83,7 @@ class SamplePool:
             raise ValueError("pool length must be positive")
         self._samples = np.full((n_pixels, maxlen), np.nan)
         self._pushed = np.zeros(n_pixels, dtype=np.int64)
-        self._off_grid = np.zeros(n_pixels, dtype=np.int64)
+        self._integral = True
 
     @classmethod
     def from_history(cls, history, maxlen: int) -> "SamplePool":
@@ -91,7 +93,7 @@ class SamplePool:
         kept = history[max(0, history.shape[0] - maxlen):]
         pool._samples[:, :kept.shape[0]] = kept.T
         pool._pushed[:] = kept.shape[0]
-        pool._recount()
+        pool._scan()
         return pool
 
     @classmethod
@@ -103,12 +105,12 @@ class SamplePool:
         pool._pushed[:] = pushed
         stored = np.arange(pool.maxlen) < pool.count[:, None]
         pool._samples[stored] = samples[stored]
-        pool._recount()
+        pool._scan()
         return pool
 
     samples = property(lambda self: _read_only(self._samples))
     pushed = property(lambda self: _read_only(self._pushed))
-    off_grid = property(lambda self: _read_only(self._off_grid))
+    integral = property(lambda self: self._integral)
 
     @property
     def n_pixels(self) -> int:
@@ -122,26 +124,22 @@ class SamplePool:
     def count(self) -> np.ndarray:
         return np.minimum(self._pushed, self.maxlen)
 
-    def _recount(self) -> None:
-        """Derive ``off_grid`` from the stored samples, in ranges of rows
+    def _scan(self) -> None:
+        """Derive ``integral`` from the stored samples, in ranges of rows
         whose temporaries stay within _PASS_BYTES."""
         count = self.count
         step = max(1, _PASS_BYTES // (8 * self.maxlen))
-        self._off_grid = np.empty(self.n_pixels, dtype=np.int64)
-        for lo in range(0, self.n_pixels, step):
-            rows = slice(lo, lo + step)
-            stored = np.arange(self.maxlen) < count[rows, None]
-            self._off_grid[rows] = np.count_nonzero(
-                stored & _off_grid(self._samples[rows]), axis=1)
+        self._integral = not any(
+            ((np.arange(self.maxlen) < count[lo:lo + step, None])
+             & _off_grid(self._samples[lo:lo + step])).any()
+            for lo in range(0, self.n_pixels, step))
 
     def push(self, x) -> None:
         """Store x[p] as pixel p's newest sample, dropping its oldest when
         the buffer is full."""
         x = np.asarray(x, dtype=np.float64)
-        at = (np.arange(self.n_pixels), self._pushed % self.maxlen)
-        dropped = (self._pushed >= self.maxlen) & _off_grid(self._samples[at])
-        self._off_grid = self._off_grid - dropped + _off_grid(x)
-        self._samples[at] = x
+        self._integral = self._integral and not _off_grid(x).any()
+        self._samples[np.arange(self.n_pixels), self._pushed % self.maxlen] = x
         self._pushed = self._pushed + 1
 
     def values(self, p: int) -> list[float]:
@@ -155,14 +153,14 @@ class SamplePool:
         pool = SamplePool(0, self.maxlen)
         pool._samples = self._samples[rows]
         pool._pushed = self._pushed[rows]
-        pool._off_grid = self._off_grid[rows]
+        pool._integral = self._integral
         return pool
 
     def put(self, rows, other: "SamplePool") -> None:
         """Overwrite the given pixel rows with the rows of ``other``."""
         self._samples[rows] = other._samples
         self._pushed[rows] = other._pushed
-        self._off_grid[rows] = other._off_grid
+        self._integral = self._integral and other._integral
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -284,8 +282,8 @@ def _integer_levels(pool: SamplePool, x) -> bool:
     """Whether x and all stored samples are integers below _EXACT_BELOW in
     magnitude, as 8- and 16-bit frames deliver them.  Judged on the samples
     themselves, never on |v - x| (see _exact_chunk), through the pool's
-    per-pixel count of the others."""
-    return not (pool.off_grid.any() or _off_grid(x).any())
+    ``integral`` flag for the stored ones."""
+    return pool.integral and not _off_grid(x).any()
 
 
 def _off_grid(values) -> np.ndarray:
@@ -338,7 +336,7 @@ def _exact_chunk(samples, x, count, n_eps, integer):
              else _definition_twice(samples, x, point_row, grid))
     p = 0.5 * twice / (count[point_row] * 2.0 * grid)
     best, p_best = _first_argmax(p, starts, point_row)
-    return np.where(p_best > 0.0, grid[best], 1), p_best
+    return grid[best], p_best
 
 
 def _integer_twice(samples, x, n_eps, point_row):
@@ -456,7 +454,7 @@ def _approx_chunk(log_w, mu, sigma, x, rows, n_eps):
     log_p = log_w[row] + log_mass - np.log(2.0 * grid)
 
     best, lp = _first_argmax(log_p, starts, local)
-    return np.where(lp > -np.inf, best - starts + 1, 1), lp
+    return best - starts + 1, lp
 
 
 def epsilon_star_approx(model: MixtureModel, c: int,

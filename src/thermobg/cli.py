@@ -233,10 +233,12 @@ def cmd_run(args) -> int:
                              min_blob_area=args.min_blob,
                              connectivity=args.connectivity)
     grid = load_grid(args.model, seg_config=seg)
-    if (grid.width, grid.height) != (seq.width, seq.height):
+    if (grid.width, grid.height, grid.intensity_levels) != \
+            (seq.width, seq.height, seq.intensity_levels):
         raise ValueError(
-            f"model geometry {grid.width}x{grid.height} does not match "
-            f"frames {seq.width}x{seq.height}")
+            f"model {grid.width}x{grid.height} at {grid.intensity_levels} "
+            f"intensity levels does not match frames {seq.width}x"
+            f"{seq.height} at {seq.intensity_levels} intensity levels")
     if args.mode == "exact":
         grid.pool = SamplePool(grid.width * grid.height,
                                grid.state.history_len)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapt import adapt  # noqa: F401  perfbench/pipeline.py wraps engine.adapt
-from .adapt import SamplePool, adapt_rows
+from .adapt import MAX_HISTORY_LEN, SamplePool, adapt_rows
 from .core import MixtureModel, MixtureState
 from .fit import fit  # noqa: F401  perfbench/pipeline.py wraps engine.fit
 from .fit import FitConfig, fit_rows
@@ -132,9 +132,7 @@ def process_frame(grid: PixelGrid, frame, update: bool = True) -> MaskFrame:
     if not all_finite:
         posterior[~finite] = 0.0
     labels = (posterior < cfg.decision_threshold).view(np.uint8)  # 1: fg
-    raw = MaskFrame(grid.width, grid.height,
-                    labels.reshape(grid.height, grid.width),
-                    posterior.reshape(grid.height, grid.width))
+    raw = MaskFrame(labels.reshape(frame.shape), posterior.reshape(frame.shape))
     mask = blob_filter(raw, cfg)
 
     if update and all_finite:
@@ -174,9 +172,10 @@ def load_grid(path, seg_config: SegmentationConfig | None = None
     """Read a VIMM1 model file back into a PixelGrid without a sample pool.
 
     Corrupt input raises ModelFormatError naming the offending pixel,
-    weights that do not sum to 1 or fall below 1/N included.  The
-    segmentation settings are not part of the format; absent ones get the
-    defaults.
+    weights that do not sum to 1 or fall below 1/N included, and so does
+    a header N above MAX_HISTORY_LEN, past which the stream's prune fails.
+    The segmentation settings are not part of the format; absent ones get
+    the defaults.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -191,7 +190,7 @@ def load_grid(path, seg_config: SegmentationConfig | None = None
         width, height, n_hist, levels = (int(v) for v in header[1:])
     except ValueError as exc:
         raise ModelFormatError(f"non-integer header field: {exc}") from exc
-    if min(width, height, n_hist) < 1 or levels < 2:
+    if min(width, height, n_hist) < 1 or levels < 2 or n_hist > MAX_HISTORY_LEN:
         raise ModelFormatError("header fields out of range")
 
     n_pixels = width * height

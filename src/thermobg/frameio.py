@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import glob
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -23,6 +24,12 @@ import numpy as np
 
 class FrameFormatError(ValueError):
     pass
+
+
+# the P5 magic, then width, height and maxval, each after whitespace or
+# comments, then the one whitespace byte that ends the header; no two
+# alternatives match the same byte, so a failed match does not backtrack
+_PGM_HEADER = re.compile(b"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 @dataclass
@@ -57,23 +64,22 @@ def read_pgm(path):
     """Read a binary (P5) PGM with maxval 255 or 65535.
 
     Returns (array, maxval) with dtype uint8 or uint16; 16-bit samples are
-    decoded big-endian.  ASCII variants raise an unsupported-variant error.
+    decoded big-endian.  The magic is the file's first two bytes, and
+    ASCII and colour variants raise an unsupported-variant error; the rest
+    of the header is _PGM_HEADER's, with comments running to the next LF.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, pos = _next_token(data, 0)
+    magic = data[:2]
     if magic in (b"P2", b"P1", b"P3", b"P6"):
         raise FrameFormatError(
             f"{path}: unsupported PGM variant {magic.decode()} (only binary P5)")
     if magic != b"P5":
         raise FrameFormatError(f"{path}: not a PGM file (magic {magic!r})")
-    try:
-        width_tok, pos = _next_token(data, pos)
-        height_tok, pos = _next_token(data, pos)
-        maxval_tok, pos = _next_token(data, pos)
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except ValueError as exc:
-        raise FrameFormatError(f"{path}: malformed PGM header: {exc}") from exc
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FrameFormatError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(v) for v in header.groups())
     if width < 1 or height < 1:
         raise FrameFormatError(f"{path}: bad dimensions {width}x{height}")
     if maxval == 255:
@@ -84,7 +90,7 @@ def read_pgm(path):
         raise FrameFormatError(
             f"{path}: unsupported maxval {maxval} (expected 255 or 65535)")
 
-    payload = data[pos:]
+    payload = data[header.end():]
     expected = width * height * dtype.itemsize
     if len(payload) < expected:
         raise FrameFormatError(
@@ -337,27 +343,3 @@ def read_pgm_sequence(pattern, limit: int | None = None
         raise FrameFormatError(f"mixed bit depths in sequence: {sorted(maxvals)}")
     levels = 256 if maxvals.pop() == 255 else 65536
     return FrameSequence(np.stack(frames), intensity_levels=levels), paths
-
-
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping '#' comments.
-    Returns the token and the position just past its trailing whitespace."""
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise FrameFormatError("unexpected end of header")
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    token = data[start:pos]
-    if pos < n:
-        pos += 1  # exactly one whitespace byte separates maxval from payload
-    return token, pos

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -45,23 +46,12 @@ class SegmentationConfig:
             raise ValueError("connectivity must be 4 or 8")
 
 
-@dataclass
-class MaskFrame:
-    """Binary labels for one frame, optionally with the background posterior."""
+class MaskFrame(NamedTuple):
+    """Binary labels for one frame, optionally with the background
+    posterior, both (height, width) arrays as process_frame builds them."""
 
-    width: int
-    height: int
-    labels: np.ndarray                 # (height, width) uint8, 0=bg 1=fg
-    posterior: np.ndarray | None = None  # (height, width) float64 in [0, 1]
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
-        if self.labels.shape != (self.height, self.width):
-            raise ValueError("label array does not match the declared size")
-        if self.posterior is not None:
-            self.posterior = np.asarray(self.posterior, dtype=np.float64)
-            if self.posterior.shape != (self.height, self.width):
-                raise ValueError("posterior array does not match the declared size")
+    labels: np.ndarray                 # uint8, 0=bg 1=fg
+    posterior: np.ndarray | None = None  # float64 in [0, p_bg)
 
 
 def posterior_bg_rows(state: MixtureState, x: np.ndarray,
@@ -87,12 +77,10 @@ def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:
     pixels than min_blob_area make only small blobs: no labelling pass."""
     labels = np.asarray(mask.labels, dtype=np.uint8)
     if cfg.min_blob_area <= 1:
-        return MaskFrame(mask.width, mask.height, labels.copy(), mask.posterior)
+        return mask._replace(labels=labels.copy())
     foreground = labels == FOREGROUND
     if np.count_nonzero(foreground) < cfg.min_blob_area:
-        return MaskFrame(mask.width, mask.height,
-                         np.where(foreground, BACKGROUND, labels),
-                         mask.posterior)
+        return mask._replace(labels=np.where(foreground, BACKGROUND, labels))
     structure = _STRUCTURE_8 if cfg.connectivity == 8 else _STRUCTURE_4
     blobs, n_blobs = ndimage.label(foreground, structure=structure)
     areas = np.bincount(blobs.ravel(), minlength=n_blobs + 1)
@@ -100,4 +88,4 @@ def blob_filter(mask: MaskFrame, cfg: SegmentationConfig) -> MaskFrame:
     small[0] = False  # index 0 is the background
     out = labels.copy()
     out[small[blobs]] = BACKGROUND
-    return MaskFrame(mask.width, mask.height, out, mask.posterior)
+    return mask._replace(labels=out)

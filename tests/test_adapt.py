@@ -438,71 +438,82 @@ class TestSamplePool:
         assert np.isnan(rows.samples[0, 1:]).all()
 
     def test_from_slots_copies_and_derives_the_rest(self):
-        # the slots past each pixel's count turn NaN, off_grid counts the
-        # stored non-integers, and the caller's array stays the caller's
+        # the slots past each pixel's count turn NaN, the flag is cleared
+        # by a stored non-integer but not by one past the count, and the
+        # caller's array stays the caller's
         slots = np.array([[1.0, 2.5, 7.0], [4.0, 5.5, 6.0]])
         pool = SamplePool.from_slots(slots, [2, 4])
         assert pool.values(0) == [1.0, 2.5]
         assert np.isnan(pool.samples[0, 2])
         assert pool.values(1) == [5.5, 6.0, 4.0]  # slot 1 is the oldest
-        assert pool.off_grid.tolist() == [1, 1]
+        assert not pool.integral
         slots[1, 1] = 5.0
-        assert pool.samples[1, 1] == 5.5 and pool.off_grid[1] == 1
+        assert pool.samples[1, 1] == 5.5 and not pool.integral
+        assert SamplePool.from_slots([[1.0, 2.5, 7.0]], [1]).integral
 
     def test_arrays_change_only_through_methods(self):
-        # a direct write would leave off_grid stale and pick the wrong
-        # eps kernel, so it raises
+        # a direct write could store a non-integer behind the flag's back
+        # and pick the wrong eps kernel, so it raises
         pool = SamplePool.from_history([[1.0, 2.0]], maxlen=3)
-        for name in ("samples", "pushed", "off_grid"):
+        for name in ("samples", "pushed"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(pool, name)[0] = 0
             with pytest.raises(AttributeError):
                 setattr(pool, name, np.zeros_like(getattr(pool, name)))
+        with pytest.raises(AttributeError):
+            pool.integral = False
+        assert pool.integral
         pool.push([0.5, 3.0])
-        assert pool.values(0) == [1.0, 0.5] and pool.off_grid.tolist() == [1, 0]
+        assert pool.values(0) == [1.0, 0.5] and not pool.integral
 
 
-# integers, integers next to 2**51, values at or beyond it, non-integers
-POOL_VALUES = st.one_of(
+# integers and integers next to 2**51
+INTEGER_VALUES = st.one_of(
     st.integers(-300, 300).map(float),
-    st.sampled_from([2.0 ** 51 - 1.0, -(2.0 ** 51 - 1.0), 2.0 ** 51,
-                     -2.0 ** 51, 2.0 ** 51 + 2.0, 2.0 ** 60, -1e300]),
+    st.sampled_from([2.0 ** 51 - 1.0, -(2.0 ** 51 - 1.0)]))
+# those, values at or beyond 2**51, and non-integers
+POOL_VALUES = st.one_of(
+    INTEGER_VALUES,
+    st.sampled_from([2.0 ** 51, -2.0 ** 51, 2.0 ** 51 + 2.0, 2.0 ** 60,
+                     -1e300]),
     st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v != int(v)))
 
 
-def off_grid_rescan(pool):
-    """Per pixel, its stored samples that are no integers below 2**51."""
-    return [sum(not (v.is_integer() and abs(v) < 2.0 ** 51)
-                for v in pool.values(p)) for p in range(pool.n_pixels)]
+def integral_rescan(pool):
+    """Whether every stored sample is an integer below 2**51."""
+    return all(v.is_integer() and abs(v) < 2.0 ** 51
+               for p in range(pool.n_pixels) for v in pool.values(p))
 
 
-class TestOffGridCount:
+class TestIntegralFlag:
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), pixels=st.integers(1, 4), maxlen=st.integers(1, 5))
-    def test_count_and_flag_equal_the_rescan(self, data, pixels, maxlen):
+    @given(data=st.data(), pixels=st.integers(1, 4), maxlen=st.integers(1, 5),
+           integers_only=st.booleans())
+    def test_flag_never_claims_more_than_the_rescan(self, data, pixels,
+                                                    maxlen, integers_only):
         # after from_history, pushes that fill and wrap the rings, and
-        # take/put of rows, the maintained count is the rescan's, and so
-        # the integer flag is the one the stored samples give
+        # take/put of rows: a set flag means the stored samples are all
+        # integers, and a pool built and fed only integers keeps it set
+        values = INTEGER_VALUES if integers_only else POOL_VALUES
+        frame = st.lists(values, min_size=pixels, max_size=pixels)
         depth = data.draw(st.integers(0, maxlen + 2))
-        history = data.draw(st.lists(st.lists(POOL_VALUES, min_size=pixels,
-                                              max_size=pixels),
-                                     min_size=depth, max_size=depth))
+        history = data.draw(st.lists(frame, min_size=depth, max_size=depth))
         pool = (SamplePool.from_history(np.reshape(history, (depth, pixels)),
                                         maxlen)
                 if depth else SamplePool(pixels, maxlen))
+        assert pool.integral == integral_rescan(pool)
         x = np.zeros(pixels)
         for _ in range(data.draw(st.integers(1, 3 * maxlen + 3))):
             if data.draw(st.booleans()):
-                pool.push(data.draw(st.lists(POOL_VALUES, min_size=pixels,
-                                             max_size=pixels)))
+                pool.push(data.draw(frame))
             else:
                 rows = data.draw(st.permutations(range(pixels)))
                 part = pool.take(rows)
-                part.push(data.draw(st.lists(POOL_VALUES, min_size=pixels,
-                                             max_size=pixels)))
-                assert part.off_grid.tolist() == off_grid_rescan(part)
+                assert part.integral == pool.integral
+                part.push(data.draw(frame))
+                assert not part.integral or integral_rescan(part)
                 pool.put(rows, part)
-            want = off_grid_rescan(pool)
-            assert pool.off_grid.tolist() == want
-            assert _integer_levels(pool, x) == (sum(want) == 0)
+            assert not pool.integral or integral_rescan(pool)
+            assert pool.integral or not integers_only
+            assert _integer_levels(pool, x) == pool.integral
             assert not _integer_levels(pool, x + 0.5)

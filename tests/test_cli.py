@@ -327,6 +327,26 @@ class TestRun:
         assert main(argv) == EXIT_DATA
         assert not (tmp_path / "m.vimm").exists()
 
+    def test_model_and_frame_depth_mismatch_is_a_data_error(self, tmp_path,
+                                                            capsys):
+        # a model fitted on 8-bit frames, run on 16-bit frames of its size:
+        # exit 2 before any mask or model is written
+        rng = np.random.default_rng(0)
+        video = tmp_path / "video8"
+        video.mkdir()
+        for t in range(HISTORY):
+            frame = rng.integers(90, 110, (2, 3)).astype(np.uint8)
+            write_pgm(frame, video / f"frame_{t:04d}.pgm")
+        fitted = tmp_path / "fitted.vimm"
+        assert main(fit_argv(video, fitted)) == EXIT_OK
+        other = write_video(tmp_path / "other", 3)
+        out, final = tmp_path / "out", tmp_path / "m.vimm"
+        capsys.readouterr()
+        assert main(run_argv(other, fitted, out, final)) == EXIT_DATA
+        assert "intensity levels" in capsys.readouterr().err
+        assert not list(out.glob("*.pgm"))
+        assert not final.exists()
+
 
 class TestEval:
     def test_counts_a_hand_made_pair(self, tmp_path):

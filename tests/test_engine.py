@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermobg.adapt import SamplePool
+from thermobg.adapt import MAX_HISTORY_LEN, SamplePool
 from thermobg.core import MixtureModel, MixtureState
 from thermobg.engine import (ModelFormatError, PixelGrid, initialize_grid,
                              load_grid, process_frame, save_grid)
@@ -162,6 +162,18 @@ class TestLoadGrid:
         with pytest.raises(ModelFormatError, match="pixel 1") as info:
             load_grid(path)
         assert info.value.pixel_index == 1
+
+    def test_history_length_above_the_supported_one_is_rejected(
+            self, tmp_path):
+        # N = MAX_HISTORY_LEN loads; one more fails at the header, before
+        # a stream could reach prune_renormalize_rows
+        path = tmp_path / "long.vimm"
+        path.write_text(f"VIMM1 1 1 {MAX_HISTORY_LEN} 256\n1 1 10 1\n")
+        assert load_grid(path).state.history_len == MAX_HISTORY_LEN
+        path.write_text(f"VIMM1 1 1 {MAX_HISTORY_LEN + 1} 256\n1 1 10 1\n")
+        with pytest.raises(ModelFormatError,
+                           match="header fields out of range"):
+            load_grid(path)
 
 
 class TestPool:

@@ -87,6 +87,48 @@ class TestPgm:
             (tmp_path / "f.pgm").read_bytes()
 
 
+RASTER = bytes([200, 201, 202, 203, 204, 205])  # a 3x2 8-bit raster
+
+
+class TestPgmHeader:
+    @pytest.mark.parametrize("header", [
+        b"P5 # after the magic\n3 # width\n2\t# height\n255\n",
+        b"P5\n#\n# two lines\n3\n#\n2 \n# maxval next\n255 ",
+        b"P5\t3\r2\n255\r",
+        b"P5\r\n3\t\t2\r\n255\t",
+    ])
+    def test_comments_and_separators(self, tmp_path, header):
+        (tmp_path / "f.pgm").write_bytes(header + RASTER)
+        arr, maxval = read_pgm(tmp_path / "f.pgm")
+        assert maxval == 255
+        assert arr.tobytes() == RASTER and arr.shape == (2, 3)
+
+    @pytest.mark.parametrize("first", [9, 10, 13, 32])
+    def test_one_whitespace_byte_ends_the_header(self, tmp_path, first):
+        # a raster starting with a whitespace byte keeps that byte
+        arr = np.array([[first, 7, 0], [255, 10, 32]], dtype=np.uint8)
+        (tmp_path / "f.pgm").write_bytes(encode_pgm(arr))
+        back, _ = read_pgm(tmp_path / "f.pgm")
+        assert np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("data,message", [
+        (b"P2 3 2 255\n1 2 3 4 5 6\n", "unsupported PGM variant P2"),
+        (b"P6 3 2 255\n" + RASTER * 3, "unsupported PGM variant P6"),
+        (b"XY 3 2 255\n" + RASTER, "not a PGM file"),
+        (b"P5 3 2\n" + RASTER, "malformed PGM header"),
+        (b"P5 3 x 255\n" + RASTER, "malformed PGM header"),
+    ])
+    def test_bad_headers_raise(self, tmp_path, data, message):
+        (tmp_path / "f.pgm").write_bytes(data)
+        with pytest.raises(FrameFormatError, match=message):
+            read_pgm(tmp_path / "f.pgm")
+
+    def test_magic_must_be_the_first_two_bytes(self, tmp_path):
+        (tmp_path / "f.pgm").write_bytes(b"\nP5 3 2 255\n" + RASTER)
+        with pytest.raises(FrameFormatError, match="not a PGM file"):
+            read_pgm(tmp_path / "f.pgm")
+
+
 class TestForkedWriter:
     def test_writes_what_the_process_itself_writes(self, tmp_path):
         frames = frames_of(16)

@@ -19,8 +19,7 @@ class TestBlobFilter:
                                                   connectivity):
         cfg = SegmentationConfig(min_blob_area=min_blob,
                                  connectivity=connectivity)
-        height, width = labels.shape
-        once = blob_filter(MaskFrame(width, height, labels), cfg)
+        once = blob_filter(MaskFrame(labels), cfg)
         twice = blob_filter(once, cfg)
         assert np.array_equal(once.labels, twice.labels)
         assert not np.any((once.labels == FOREGROUND) & (labels != FOREGROUND))
@@ -40,13 +39,12 @@ class TestBlobFilter:
         small = np.bincount(blobs.ravel(), minlength=n + 1) < min_blob
         small[0] = False
         expected = np.where(small[blobs], 0, labels)
-        height, width = labels.shape
-        got = blob_filter(MaskFrame(width, height, labels), cfg)
+        got = blob_filter(MaskFrame(labels), cfg)
         assert np.array_equal(got.labels, expected)
 
     def test_connectivity_decides_diagonal_blobs(self):
         labels = np.eye(4, dtype=np.uint8)
-        mask = MaskFrame(4, 4, labels)
+        mask = MaskFrame(labels)
         kept = blob_filter(mask, SegmentationConfig(min_blob_area=4,
                                                     connectivity=8))
         dropped = blob_filter(mask, SegmentationConfig(min_blob_area=4,

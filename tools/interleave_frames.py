@@ -11,10 +11,7 @@ The scene's video is rendered once.  Both trees are
 imported in this process under distinct module names, and each follows the
 chain perfbench runs through ``thermobg.cli``: fit the history frames, then
 for each ``run`` call reload the model from its VIMM1 file (with an empty
-sample pool in exact mode) and stream that call's frames.  A tree whose
-package still has ``AdaptationConfig`` (and ``FitConfig.history_len``) is
-driven through those; a tree without it takes N from the history and runs
-exact mode because its grid has a pool.  Each repetition
+sample pool in exact mode) and stream that call's frames.  Each repetition
 times both trees' ``initialize_grid``, A first on even repetitions and B
 first on odd ones.  The stream frames go through the two trees'
 ``process_frame`` in alternating order, A first on one frame and B first on
@@ -93,12 +90,6 @@ def load_tree(src, name):
     return module
 
 
-def _old_api(pkg) -> bool:
-    """Whether the tree selects the adaptation mode by AdaptationConfig
-    and holds N in FitConfig."""
-    return hasattr(pkg, "AdaptationConfig")
-
-
 class Tree:
     """One tree's pipeline over the scene, with its initialize_grid and
     process_frame times."""
@@ -108,12 +99,11 @@ class Tree:
         self.times = []
         history = pkg.FrameSequence(frames[:scene.history],
                                     intensity_levels=scene.levels)
-        extra = {"history_len": scene.history} if _old_api(pkg) else {}
-        cfg = pkg.FitConfig(k_max=scene.kmax, rng_seed=0, **extra)
+        cfg = pkg.FitConfig(k_max=scene.kmax, rng_seed=0)
         t0 = time.perf_counter()
         grid = pkg.initialize_grid(history, cfg)
         self.fit_s = time.perf_counter() - t0
-        self.stages = dict(getattr(grid, "fit_seconds", {}))
+        self.stages = dict(grid.fit_seconds)
         self.stages["other_s"] = self.fit_s - sum(self.stages.values())
         self.fitted = os.path.join(work, "fitted.vimm")
         pkg.save_grid(grid, self.fitted)
@@ -125,9 +115,7 @@ class Tree:
         pkg = self.pkg
         seg = pkg.SegmentationConfig(p_bg=P_BG, decision_threshold=THRESHOLD,
                                      min_blob_area=MIN_BLOB, connectivity=8)
-        extra = ({"adapt_config": pkg.AdaptationConfig(mode=self.scene.mode)}
-                 if _old_api(pkg) else {})
-        self.grid = pkg.load_grid(self.model, seg_config=seg, **extra)
+        self.grid = pkg.load_grid(self.model, seg_config=seg)
         if self.scene.mode == "exact":
             self.grid.pool = pkg.SamplePool(
                 self.grid.width * self.grid.height,
