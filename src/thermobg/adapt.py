@@ -12,8 +12,16 @@ without one).
 The neighborhood half-width eps runs over the integers 1 .. top, where top is
 at least 1: ceil(EPSILON_MAX_SIGMAS sigma) of the matched component in
 memory-efficient mode, the ceiling of the pool's value range in exact mode.
-Exact mode counts a window's samples by a histogram of integer distances on
-integer frames, else by the comparisons with x +- eps that define the count.
+One search (_search) finds eps* in both modes, as the first argmax of a
+per-mode window score: log p~ from the CDF in memory-efficient mode, p from
+the window's sample count in exact mode.  No window holds more than a mass
+m (w, or all N samples), so p(eps) <= m / (2 eps).  Given the matched
+component's log f(x), each mode cuts its grid to the eps whose bound can
+reach f(x) (_capped_length); a pixel with none left gets eps* = 1, p = 0.
+If the full grid's eps* lies beyond the cut, its p is at most f(x), and so
+is the prefix's best p: both match.  Otherwise the prefix holds the same
+first argmax.  So the matched flags log f(x) >= log p(eps*) are the full
+grid's, and on every miss so are eps*, p and log p.
 
 Every stage runs on all pixels of a grid at once: the ``*_rows`` functions
 take a MixtureState, a SamplePool or the matched components' parameters,
@@ -24,6 +32,7 @@ the one-pixel case of the same code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,9 +47,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # memory-efficient mode's eps grid ends at this many standard deviations
 EPSILON_MAX_SIGMAS = 6.0
 
-# bytes of each float64 temporary of one vectorised eps pass: a row takes 8
-# per grid point, plus 8 per stored sample slot in exact-history mode, and
-# a frame whose rows take more is split into ranges of whole rows.  Each
+# bytes of each float64 temporary of one pass of the eps search: a row takes
+# 8 per grid point, plus 8 per stored sample slot in exact-history mode, and
+# a frame whose rows take more is split into passes of whole rows.  Each
 # 16x16 frame of the gray8-exact benchmark takes one pass.
 _PASS_BYTES = 1 << 18
 
@@ -128,11 +137,11 @@ class SamplePool:
         """Derive ``integral`` from the stored samples, in ranges of rows
         whose temporaries stay within _PASS_BYTES."""
         count = self.count
-        step = max(1, _PASS_BYTES // (8 * self.maxlen))
         self._integral = not any(
-            ((np.arange(self.maxlen) < count[lo:lo + step, None])
-             & _off_grid(self._samples[lo:lo + step])).any()
-            for lo in range(0, self.n_pixels, step))
+            ((np.arange(self.maxlen) < count[lo:hi, None])
+             & _off_grid(self._samples[lo:hi])).any()
+            for lo, hi in _row_chunks(np.full(self.n_pixels, self.maxlen),
+                                      _PASS_BYTES // 8))
 
     def push(self, x) -> None:
         """Store x[p] as pixel p's newest sample, dropping its oldest when
@@ -224,31 +233,20 @@ def epsilon_star_exact_rows(pool: SamplePool, x, log_density=-np.inf
 
     A pixel's grid runs from 1 to the ceiling of its pool's value range;
     the smallest eps wins ties.  An empty neighborhood everywhere, or an
-    empty pool, yields (1, 0, -inf).  _exact_chunk counts N_eps with an
-    integer histogram or with the comparisons of its definition.
-
-    A window holds at most all N samples, so p(eps) <= 1 / (2 eps), and
-    only a prefix of the grid is evaluated:
+    empty pool, yields (1, 0, -inf).  _search finds eps* with _exact_p as
+    the window score, and log p is the log of that p.  Since
+    p(eps) <= 1 / (2 eps), only a prefix of the grid is evaluated:
     - Branch and bound, for a grid longer than the pool: the k stored
       samples nearest x lie strictly inside the window of the first grid
       eps at least 1 beyond the k-th nearest's distance, so p there is at
       least k / (2 N eps).  The best of these lower bounds q is at most
       the grid's best p, and no eps whose bound 1 / (2 eps) falls short of
       q (_capped_length) is evaluated.  Every result is the full grid's.
-    - Given ``log_density``, the matched component's log density
-      log f(x) per pixel, the grid also stops at the last eps whose bound
-      can reach f(x), and a pixel with no such eps gets (1, 0, -inf).  The
-      default -inf keeps the whole grid.  adapt_rows matches a pixel when
-      log f(x) >= log p(eps*).  If the full grid's eps* lies beyond the
-      cut, its p is at most f(x) and so is the prefix's best p: both
-      grids match.  Otherwise the prefix holds the same first argmax.  So
-      the matched flags are the full grid's, and on every miss so are
-      eps*, p and log p.
+    - Given ``log_density``, log f(x) per pixel, the grid is also cut
+      at f(x), as the module docstring describes; the default -inf keeps
+      the whole grid.
     """
     x = np.asarray(x, dtype=np.float64)
-    eps = np.ones(x.size, dtype=np.int64)
-    p = np.zeros(x.size)
-    log_p = np.full(x.size, -np.inf)
     samples, count = pool.samples, pool.count
     # each pool's extremes, NaN where it is empty; reduceat over the flat
     # rows runs faster than a reduction along axis 1
@@ -263,25 +261,15 @@ def epsilon_star_exact_rows(pool: SamplePool, x, log_density=-np.inf
         with np.errstate(divide="ignore"):
             n_eps[long] = _capped_length(n_eps[long], 0.0, np.log(q))
 
-    rows = (n_eps > 0).nonzero()[0]
-    if rows.size == 0:
-        return eps, p, log_p
-    integer = _integer_levels(pool, x)
-    for lo, hi in _row_chunks(8 * (n_eps + pool.maxlen)[rows], _PASS_BYTES):
-        r = rows[lo:hi]
-        if r[-1] - r[0] == r.size - 1:
-            r = slice(r[0], r[-1] + 1)  # a view of the pool, not a copy
-        eps[r], p[r] = _exact_chunk(samples[r], x[r], count[r], n_eps[r],
-                                    integer)
-    found = p > 0.0
-    log_p[found] = np.log(p[found])
-    return eps, p, log_p
+    eps, p = _search(n_eps, pool.maxlen, functools.partial(
+        _exact_p, samples, x, count, n_eps, _integer_levels(pool, x)), 0.0)
+    return eps, p, np.log(p, out=np.full(x.size, -np.inf), where=p > 0.0)
 
 
 def _integer_levels(pool: SamplePool, x) -> bool:
     """Whether x and all stored samples are integers below _EXACT_BELOW in
     magnitude, as 8- and 16-bit frames deliver them.  Judged on the samples
-    themselves, never on |v - x| (see _exact_chunk), through the pool's
+    themselves, never on |v - x| (see _exact_p), through the pool's
     ``integral`` flag for the stored ones."""
     return pool.integral and not _off_grid(x).any()
 
@@ -312,10 +300,10 @@ def _window_lower_bound(samples, x, count, n_eps):
     return np.where(on_grid, q, 0.0).max(axis=1)
 
 
-def _exact_chunk(samples, x, count, n_eps, integer):
-    """epsilon_star_exact_rows on a range of rows with stored samples:
-    (eps*, p) over their first n_eps grid points, from their (rows, N)
-    samples with NaN in the unfilled slots; ``integer`` picks the kernel.
+def _exact_p(samples, x, count, n_eps, integer, r, point_row, grid):
+    """Exact mode's window score: p(x; eps) at the points of one _search
+    pass over the rows r of the (P, N) samples (NaN in unfilled slots), x,
+    counts and grid lengths; ``integer`` picks the kernel.
 
     By definition twice N_eps is the sum over the stored samples v of
     [v <= x + eps] + [v < x + eps] - [v < x - eps] - [v <= x - eps], with
@@ -329,14 +317,12 @@ def _exact_chunk(samples, x, count, n_eps, integer):
     strictly inside the eps = 1 window and counts twice there, where the
     single histogram would count it once.
     """
-    point_row = np.arange(n_eps.size).repeat(n_eps)
-    starts = n_eps.cumsum() - n_eps
-    grid = 1 + np.arange(point_row.size) - starts[point_row]
-    twice = (_integer_twice(samples, x, n_eps, point_row) if integer
+    if r[-1] - r[0] == r.size - 1:
+        r = slice(r[0], r[-1] + 1)  # a view of the pool, not a copy
+    samples, x = samples[r], x[r]
+    twice = (_integer_twice(samples, x, n_eps[r], point_row) if integer
              else _definition_twice(samples, x, point_row, grid))
-    p = 0.5 * twice / (count[point_row] * 2.0 * grid)
-    best, p_best = _first_argmax(p, starts, point_row)
-    return grid[best], p_best
+    return 0.5 * twice / (count[r][point_row] * 2.0 * grid)
 
 
 def _integer_twice(samples, x, n_eps, point_row):
@@ -403,14 +389,10 @@ def epsilon_star_approx_rows(w, mu, var, x, log_density=-np.inf
     underflowing to zero.  Each w must be positive (a model's weights are
     at least 1/N): log w is taken as it is.
 
-    The window's mass is at most 1, so p~(eps) <= w / (2 eps).  Given
-    ``log_density``, the matched component's log density log f(x) per
-    pixel, the grid stops at the last eps whose bound can reach f(x)
-    (_capped_length), and a pixel with no such eps gets (1, 0, -inf); the
-    default -inf keeps the whole grid.  As in epsilon_star_exact_rows, the
-    matched flags log f(x) >= log p(eps*) are then the full grid's, and on
-    every miss so are eps*, p and log p.  The grids left are laid end to
-    end and searched in one pass when their points fit _PASS_BYTES.
+    _search finds eps* with log p~ as the window score, and p is the exp
+    of that log p.  Given ``log_density``, log f(x) per pixel, the grid is
+    cut at f(x), as the module docstring describes, with the bound
+    p~(eps) <= w / (2 eps); the default -inf keeps the whole grid.
     """
     eps, log_p = _approx_rows(
         *(np.asarray(a, dtype=np.float64) for a in (w, mu, var, x)),
@@ -424,37 +406,21 @@ def _approx_rows(w, mu, var, x, log_density):
     log_w = np.log(w)
     n_eps = _capped_length(np.maximum(1.0, np.ceil(EPSILON_MAX_SIGMAS * sigma)),
                            log_w, log_density)
-    eps = np.ones(x.size, dtype=np.int64)
-    log_p = np.full(x.size, -np.inf)
-    live = (n_eps > 0).nonzero()[0]
-    lengths = n_eps[live]
-    for lo, hi in _row_chunks(8 * lengths, _PASS_BYTES):
-        rows = live[lo:hi]
-        eps[rows], log_p[rows] = _approx_chunk(log_w, mu, sigma, x, rows,
-                                               lengths[lo:hi])
-    return eps, log_p
 
+    def log_p(r, point_row, grid):
+        at = r[point_row]  # each point's pixel
+        xr, mur, sr = x[at], mu[at], sigma[at]
+        za = (xr - grid - mur) / sr
+        zb = (xr + grid - mur) / sr
+        lower = xr <= mur  # keep both endpoints in the lower tail for accuracy
+        l_lo = log_ndtr(np.where(lower, za, -zb))
+        l_hi = log_ndtr(np.where(lower, zb, -za))
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+            log_mass = l_hi + np.log1p(-np.exp(l_lo - l_hi))
+        log_mass = np.where(l_lo < l_hi, log_mass, -np.inf)
+        return log_w[at] + log_mass - np.log(2.0 * grid)
 
-def _approx_chunk(log_w, mu, sigma, x, rows, n_eps):
-    """epsilon_star_approx_rows on the given rows of the per-pixel arrays,
-    with n_eps >= 1 grid points each: (eps*, log p) per row."""
-    starts = n_eps.cumsum() - n_eps
-    local = np.arange(rows.size).repeat(n_eps)  # each point's row here
-    row = rows[local]
-    grid = np.arange(1.0, row.size + 1) - starts.repeat(n_eps)
-    xr, mur, sr = x[row], mu[row], sigma[row]
-    za = (xr - grid - mur) / sr
-    zb = (xr + grid - mur) / sr
-    lower = xr <= mur  # keep both endpoints in the lower tail for accuracy
-    l_lo = log_ndtr(np.where(lower, za, -zb))
-    l_hi = log_ndtr(np.where(lower, zb, -za))
-    with np.errstate(divide="ignore", invalid="ignore"):  # masked below
-        log_mass = l_hi + np.log1p(-np.exp(l_lo - l_hi))
-    log_mass = np.where(l_lo < l_hi, log_mass, -np.inf)
-    log_p = log_w[row] + log_mass - np.log(2.0 * grid)
-
-    best, lp = _first_argmax(log_p, starts, local)
-    return best - starts + 1, lp
+    return _search(n_eps, 0, log_p, -np.inf)
 
 
 def epsilon_star_approx(model: MixtureModel, c: int,
@@ -524,21 +490,11 @@ def update_rows(state: MixtureState, match: Match, x, matched,
     state.k = grown
 
 
-def _component(model: MixtureModel, c: int) -> Match:
-    """Component c of a one-pixel state's model as a Match (no log f)."""
-    return Match(np.array([c]), None, np.array([model.weights[c]]),
-                 np.array([model.means[c]]), np.array([model.variances[c]]))
-
-
 def update_matched(model: MixtureModel, c: int, x: float) -> MixtureModel:
     """update_rows on a matched sample, then prune_renormalize_rows, for
     one model: afterwards, weights below 1/N are pruned and the remainder
     renormalized."""
-    state = MixtureState.from_models([model])
-    update_rows(state, _component(model, c), np.array([float(x)]),
-                np.array([True]), np.ones(1, dtype=np.int64))
-    prune_renormalize_rows(state)
-    return state.model(0)
+    return _update_one(model, c, x, True, 1)
 
 
 def spawn_component(model: MixtureModel, x: float, eps_star: int) -> MixtureModel:
@@ -546,9 +502,17 @@ def spawn_component(model: MixtureModel, x: float, eps_star: int) -> MixtureMode
     model; eps_star must be a positive integer."""
     if eps_star < 1:
         raise ValueError("eps_star must be a positive integer")
+    return _update_one(model, 0, x, False, eps_star)
+
+
+def _update_one(model, c, x, matched, eps_star) -> MixtureModel:
+    """update_rows and prune_renormalize_rows on a one-pixel state of the
+    model, with component c as its Match (no log f)."""
     state = MixtureState.from_models([model])
-    update_rows(state, _component(model, 0), np.array([float(x)]),
-                np.array([False]), np.array([eps_star]))
+    match = Match(np.array([c]), None, np.array([model.weights[c]]),
+                  np.array([model.means[c]]), np.array([model.variances[c]]))
+    update_rows(state, match, np.array([float(x)]), np.array([matched]),
+                np.array([eps_star]))
     prune_renormalize_rows(state)
     return state.model(0)
 
@@ -618,12 +582,9 @@ def adapt_rows(state: MixtureState, x, pool: SamplePool | None = None,
 
     A sample is matched, already represented by the model, when log f(x)
     is at least log p(eps*): in the log domain a density that underflows in
-    the far tail still loses to a nonzero neighborhood mass.  The decision
-    and the eps search share log f(x): only the eps whose bound 1 / (2 eps)
-    (w / (2 eps) in memory-efficient mode) reaches f(x) can make a pixel
-    miss, so only those are evaluated.  The matched flags, and eps* on
-    every miss, are those of the full grid (see epsilon_star_exact_rows),
-    so the models are too.
+    the far tail still loses to a nonzero neighborhood mass.  The eps
+    search is cut at log f(x), which keeps the full grid's matched flags
+    and eps* on every miss (see the module docstring), so its models too.
 
     Given a ``pool``, the step runs in exact-history mode: it reads the
     neighborhoods from the pool and pushes x into it afterwards.  Without
@@ -660,19 +621,41 @@ def adapt(model: MixtureModel, x: float,
     return state.model(0), bool(matched[0])
 
 
+def _search(n_eps, slots, score, empty):
+    """Per row, the first argmax eps* of a window score over the grid
+    1 .. n_eps and the score there; (1, empty) where n_eps is 0.  Passes of
+    whole rows within _PASS_BYTES (_row_chunks; a row takes a float64 per
+    grid point and per one of its ``slots`` stored samples) lay their grids
+    end to end and call score(r, point_row, grid): r the pass's row indices,
+    point_row each point's row in r, grid each point's eps as float64."""
+    eps = np.ones(n_eps.size, dtype=np.int64)
+    best = np.full(n_eps.size, empty)
+    rows = (n_eps > 0).nonzero()[0]
+    lengths = n_eps[rows]
+    for lo, hi in _row_chunks(lengths + slots, _PASS_BYTES // 8):
+        r, n = rows[lo:hi], lengths[lo:hi]
+        point_row = np.arange(n.size).repeat(n)
+        starts = n.cumsum() - n
+        grid = np.arange(1.0, point_row.size + 1) - starts.repeat(n)
+        values = score(r, point_row, grid)
+        best[r] = top = np.maximum.reduceat(values, starts)
+        hits = (values == top[point_row]).nonzero()[0]
+        hit_row = point_row[hits]
+        first = np.empty(hits.size, dtype=bool)  # the first hit of its row
+        first[0] = True
+        np.not_equal(hit_row[1:], hit_row[:-1], out=first[1:])
+        eps[r] = grid[hits[first]]
+    return eps, best
+
+
 def _row_chunks(cost, limit: int):
     """Contiguous row ranges (lo, hi) whose summed cost stays within limit;
-    a row costing more gets a range of its own, and all rows make one
-    range when their total fits."""
+    a row costing more gets a range of its own."""
     ends = cost.cumsum()
-    if ends.size and ends[-1] <= limit:
-        yield 0, ends.size
-        return
     lo = 0
     while lo < ends.size:
         base = ends[lo - 1] if lo else 0
-        hi = int(ends.searchsorted(base + limit, side="right"))
-        hi = max(hi, lo + 1)
+        hi = max(int(ends.searchsorted(base + limit, side="right")), lo + 1)
         yield lo, hi
         lo = hi
 
@@ -710,16 +693,3 @@ def _capped_length(n_eps, log_mass, log_ref):
     bound = np.fmin(log_mass - log_ref + margin, _LOG_EPS_CAP)
     half = 0.5 * np.exp(bound)
     return np.minimum(half, n_eps).astype(np.int64)  # n_eps is whole: floors
-
-
-def _first_argmax(values, starts, row):
-    """Per row of a flat ragged array (rows begin at ``starts``, ``row``
-    names each entry's row), the flat index of the first maximum and the
-    maximum itself."""
-    top = np.maximum.reduceat(values, starts)
-    hits = (values == top[row]).nonzero()[0]
-    hit_row = row[hits]
-    first = np.empty(hits.size, dtype=bool)  # the first hit of its row
-    first[0] = True
-    np.not_equal(hit_row[1:], hit_row[:-1], out=first[1:])
-    return hits[first], top

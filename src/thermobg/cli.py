@@ -165,16 +165,17 @@ def _add_input_args(parser) -> None:
 
 
 def _load_frames(args, limit: int | None = None
-                 ) -> tuple[FrameSequence, list[str]]:
-    """The input frames (the first ``limit`` of them, if given) and the
-    file name each frame's outputs are written under."""
+                 ) -> tuple[FrameSequence, list[str], list[str]]:
+    """The input frames (the first ``limit`` of them, if given), the file
+    name each frame's outputs are written under, and the files read."""
     if args.raw_size:
         w, h = _parse_size(args.raw_size, "--raw-size")
         seq = frameio.read_raw_sequence(args.input, w, h, args.depth,
                                         args.endian, limit)
-        return seq, [f"frame_{i:06d}.pgm" for i in range(seq.n_frames)]
+        return seq, [f"frame_{i:06d}.pgm" for i in range(seq.n_frames)], \
+            [args.input]
     seq, paths = frameio.read_pgm_sequence(args.input, limit)
-    return seq, [os.path.basename(p) for p in paths]
+    return seq, [os.path.basename(p) for p in paths], paths
 
 
 def _parse_size(text: str, flag: str) -> tuple[int, int]:
@@ -192,7 +193,7 @@ def cmd_fit(args) -> int:
     cfg = FitConfig(k_max=args.kmax, rng_seed=args.seed)
     if args.history < 1:
         raise ValueError(f"--history must be positive, got {args.history}")
-    history, _ = _load_frames(args, limit=args.history)
+    history, *_ = _load_frames(args, limit=args.history)
     if history.n_frames < args.history:
         raise ValueError(f"need at least {args.history} frames for the "
                          f"history, input has {history.n_frames}")
@@ -228,7 +229,7 @@ def cmd_run(args) -> int:
     process outlives the call, and a file that cannot be written leaves no
     model."""
     t0 = time.perf_counter()
-    seq, names = _load_frames(args)
+    seq, names, inputs = _load_frames(args)
     seg = SegmentationConfig(p_bg=args.pbg, decision_threshold=args.threshold,
                              min_blob_area=args.min_blob,
                              connectivity=args.connectivity)
@@ -247,8 +248,12 @@ def cmd_run(args) -> int:
     out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
     _make_parent(out_model)
     post_dir = os.path.join(args.outdir, "posterior")
+    outputs = [(args.outdir, set(names)), (os.path.dirname(
+        os.path.abspath(out_model)), {os.path.basename(out_model)})]
     if args.save_posterior:
         os.makedirs(post_dir, exist_ok=True)
+        outputs.append((post_dir, set(names)))
+    _check_outputs(inputs, outputs)
     with ForkedWriter() as writer:
         for i in range(seq.n_frames):
             mask = process_frame(grid, seq.frames[i], update=not args.freeze)
@@ -470,6 +475,25 @@ def _write_density_csv(path, models: dict, data) -> None:
         for i, x in enumerate(xs):
             writer.writerow([f"{x:.10g}"] +
                             [f"{columns[name][i]:.10g}" for name in columns])
+
+
+def _check_outputs(inputs, outputs) -> None:
+    """Raise ValueError when two input files share a name, which their
+    frames' outputs are written under, or when an output is an input file.
+    ``outputs`` pairs each output directory with the names written there;
+    each distinct input directory is compared with each of them once."""
+    first, by_dir = {}, {}
+    for path in inputs:
+        folder, name = os.path.split(path)
+        if first.setdefault(name, path) != path:
+            raise ValueError(f"frames {first[name]!r} and {path!r} would "
+                             f"write the same output {name!r}")
+        by_dir.setdefault(folder or os.curdir, set()).add(name)
+    for folder, names in by_dir.items():
+        for out_dir, out_names in outputs:
+            if names & out_names and os.path.samefile(folder, out_dir):
+                clash = os.path.join(out_dir, min(names & out_names))
+                raise ValueError(f"output {clash!r} is an input file")
 
 
 def _make_parent(path) -> None:

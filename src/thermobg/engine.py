@@ -171,9 +171,10 @@ def load_grid(path, seg_config: SegmentationConfig | None = None
               ) -> PixelGrid:
     """Read a VIMM1 model file back into a PixelGrid without a sample pool.
 
-    Corrupt input raises ModelFormatError naming the offending pixel,
-    weights that do not sum to 1 or fall below 1/N included, and so does
-    a header N above MAX_HISTORY_LEN, past which the stream's prune fails.
+    Corrupt input raises ModelFormatError naming the offending pixel, a
+    component count that is blank or not a positive integer and weights
+    that do not sum to 1 or fall below 1/N included, and so does a header
+    N above MAX_HISTORY_LEN, past which the stream's prune fails.
     The segmentation settings are not part of the format; absent ones get
     the defaults.
     """
@@ -208,8 +209,12 @@ def load_grid(path, seg_config: SegmentationConfig | None = None
     for idx in range(n_pixels):
         tokens = body[idx].split()
         try:
-            k = int(tokens[0])
-            if k < 1 or len(tokens) != 1 + 3 * k:
+            k = int(tokens[0]) if tokens and tokens[0].isdecimal() else 0
+            if k < 1:
+                raise ValueError(f"component count {tokens[0]!r} is not a "
+                                 "positive integer" if tokens
+                                 else "component count missing")
+            if len(tokens) != 1 + 3 * k:
                 raise ValueError(f"expected {1 + 3 * k} fields, got {len(tokens)}")
             values = [float(t) for t in tokens[1:]]
             model = MixtureModel(weights=values[0::3], means=values[1::3],

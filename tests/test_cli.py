@@ -320,6 +320,45 @@ class TestRun:
         assert sorted(p.name for p in out.glob("*.pgm")) == names[:5]
         assert not final.exists()
 
+    def test_two_frames_with_one_output_name_are_a_data_error(
+            self, tmp_path, capsys):
+        # a glob over two directories of like-named frames: exit 2 naming
+        # both, before any mask is written
+        _, fitted = fitted_video(tmp_path, HISTORY)
+        (tmp_path / "dirs").mkdir()
+        for name in ("a", "b"):
+            write_video(tmp_path / "dirs" / name, 3)
+        out, final = tmp_path / "out", tmp_path / "m.vimm"
+        capsys.readouterr()
+        pattern = str(tmp_path / "dirs" / "*" / "*.pgm")
+        assert main(run_argv(pattern, fitted, out, final)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "a/frame_0000.pgm" in err and "b/frame_0000.pgm" in err
+        assert not list(out.glob("*.pgm"))
+        assert not final.exists()
+
+    @pytest.mark.parametrize("target", ["masks", "posteriors", "model"])
+    def test_output_over_an_input_frame_is_a_data_error(self, tmp_path,
+                                                         capsys, target):
+        # masks, posteriors or the model written over the frames read:
+        # exit 2 naming the file, and every frame left as it was
+        (tmp_path / "fit").mkdir()
+        video, fitted = fitted_video(tmp_path / "fit", HISTORY + 2)
+        if target == "posteriors":
+            video = video.rename(tmp_path / "posterior")
+        frames = {p: p.read_bytes() for p in video.glob("*.pgm")}
+        first = min(frames)
+        out = {"masks": video, "posteriors": tmp_path,
+               "model": tmp_path / "out"}[target]
+        final = first if target == "model" else tmp_path / "m.vimm"
+        capsys.readouterr()
+        argv = run_argv(video, fitted, out, final, "--save-posterior")
+        assert main(argv) == EXIT_DATA
+        assert "is an input file" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in video.glob("*.pgm")} == frames
+        if out != video:
+            assert not list(out.glob("*.pgm"))
+
     def test_model_and_frame_size_mismatch_is_a_data_error(self, tmp_path):
         _, fitted = fitted_video(tmp_path, HISTORY)
         other = write_video(tmp_path / "other", 3, shape=(2, 2))

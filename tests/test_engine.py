@@ -163,6 +163,21 @@ class TestLoadGrid:
             load_grid(path)
         assert info.value.pixel_index == 1
 
+    @pytest.mark.parametrize("record, message", [
+        ("", "component count missing"),
+        ("   ", "component count missing"),
+        ("0", "component count '0' is not a positive integer"),
+        ("-1 1 10 1", "component count '-1' is not a positive integer"),
+        ("1.0 1 10 1", "component count '1.0' is not a positive integer"),
+        ("one 1 10 1", "component count 'one' is not a positive integer")])
+    def test_bad_component_count_is_named(self, tmp_path, record, message):
+        path = tmp_path / "bad.vimm"
+        path.write_text(f"VIMM1 2 1 100 256\n1 1 10 1\n{record}\n")
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_grid(path)
+        assert str(info.value).startswith("pixel 1 (line 3): ")
+        assert info.value.pixel_index == 1
+
     def test_history_length_above_the_supported_one_is_rejected(
             self, tmp_path):
         # N = MAX_HISTORY_LEN loads; one more fails at the header, before

@@ -9,7 +9,9 @@ log f(x) >= log p(eps*), the same eps*, p and log p on every miss, and never
 evaluate more eps points.
 """
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,17 +33,20 @@ SEEDS = {8: 8, 16: 16, "continuous": 3}
 
 @pytest.fixture
 def points(monkeypatch):
-    """Counts the eps points the chunk kernels evaluate: the length of
-    every p array whose first argmax a kernel takes, whichever exact-mode
-    kernel or approx-mode chunk computed it."""
+    """Counts the eps points the search evaluates: the length of every
+    window score array whose first argmax _search takes, whichever mode's
+    score computed it."""
     seen = [0]
-    first_argmax = adapt_module._first_argmax
+    search = adapt_module._search
 
-    def counted(values, starts, row):
-        seen[0] += values.size
-        return first_argmax(values, starts, row)
+    def counted(n_eps, slots, score, empty):
+        def counted_score(*args):
+            values = score(*args)
+            seen[0] += values.size
+            return values
+        return search(n_eps, slots, counted_score, empty)
 
-    monkeypatch.setattr(adapt_module, "_first_argmax", counted)
+    monkeypatch.setattr(adapt_module, "_search", counted)
 
     def take():
         n, seen[0] = seen[0], 0
@@ -51,16 +56,17 @@ def points(monkeypatch):
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """The arguments (samples, x, count, n_eps, integer) of every
-    _exact_chunk call, in order."""
+    """The arguments (samples, x, count, n_eps, integer) of every pass of
+    the exact search, in order: the pass's rows of the arrays that
+    _exact_p is given."""
     calls = []
-    chunk = adapt_module._exact_chunk
+    score = adapt_module._exact_p
 
-    def recorded(*args):
-        calls.append(args)
-        return chunk(*args)
+    def recorded(samples, x, count, n_eps, integer, r, *args):
+        calls.append((samples[r], x[r], count[r], n_eps[r], integer))
+        return score(samples, x, count, n_eps, integer, r, *args)
 
-    monkeypatch.setattr(adapt_module, "_exact_chunk", recorded)
+    monkeypatch.setattr(adapt_module, "_exact_p", recorded)
     return calls
 
 
@@ -203,7 +209,7 @@ class TestExactCut:
 
 def kernel_rows(pool, x, limit=None):
     """The filled rows of the pool with their full grid lengths (at most
-    ``limit``): the arguments of _exact_chunk but for the kernel flag."""
+    ``limit``): the arguments of _exact_p but for the kernel flag."""
     rows = np.flatnonzero(pool.count > 0)
     n_eps = np.array([grid_size(math.ceil(max(v) - min(v)))
                       for v in map(pool.values, rows)])
@@ -213,9 +219,14 @@ def kernel_rows(pool, x, limit=None):
 
 
 def both_kernels(args):
-    integer = adapt_module._exact_chunk(*args, True)
-    general = adapt_module._exact_chunk(*args, False)
-    return integer, general
+    """(eps*, p) of the rows by the integer kernel and by the general one:
+    _search with _exact_p as the window score, as the program runs them."""
+    samples, x, count, n_eps = args
+
+    def search(integer):
+        return adapt_module._search(n_eps, samples.shape[1], functools.partial(
+            adapt_module._exact_p, samples, x, count, n_eps, integer), 0.0)
+    return search(True), search(False)
 
 
 class TestExactKernels:
@@ -391,3 +402,63 @@ class TestApproxCut:
         cut = epsilon_star_approx_rows(w, mu, var, x, log_f)
         assert (log_f >= cut[2]).tolist() == [True, False, True]
         assert cut[0][1] == 1 and cut[2][1] == tie
+
+
+@st.composite
+def ragged_case(draw):
+    """Pools of 1 to 12 pixels, integer or continuous, each partly filled,
+    full, wrapped or empty; and an approx-mode grid of the same pixels.
+    Log densities of -inf (whole grids) and of values that cut some rows
+    to a shorter grid or to none."""
+    pixels, maxlen = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    integer = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    spread = rng.choice([2.0, 30.0, 3000.0], pixels)[:, None]
+    values = 500.0 + spread * rng.normal(0.0, 1.0, (pixels, maxlen))
+    x = 500.0 + spread[:, 0] * rng.normal(0.0, 2.0, pixels)
+    if integer:
+        values, x = np.rint(values), np.rint(x)
+    pushed = rng.integers(0, 2 * maxlen + 2, pixels)
+    pool = SamplePool.from_slots(values, pushed)
+    w = rng.uniform(0.01, 1.0, pixels)
+    var = rng.choice([1e-4, 0.5, 9.0, 1e4], pixels)
+    mu = x + np.sqrt(var) * rng.normal(0.0, 2.0, pixels)
+    log_f = np.where(rng.random(pixels) < 0.3, -np.inf,
+                     rng.uniform(-12.0, 1.0, pixels))
+    return pool, x, (w, mu, var), log_f
+
+
+class TestPasses:
+    """Splitting the rows into passes of _PASS_BYTES never changes eps*."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ragged_case(),
+           pass_bytes=st.integers(3, 30).map(lambda e: 1 << e)
+           | st.integers(8, 1 << 30))
+    def test_any_pass_size_gives_the_one_pass_result(self, case, pass_bytes):
+        pool, x, approx, log_f = case
+
+        def both_modes():
+            out = []
+            for ref in (-np.inf, log_f):
+                out += epsilon_star_exact_rows(pool, x, ref)
+                out += epsilon_star_approx_rows(*approx, x, ref)
+            return out
+
+        with mock.patch.object(adapt_module, "_PASS_BYTES", 1 << 62):
+            one_pass = both_modes()
+        with mock.patch.object(adapt_module, "_PASS_BYTES", pass_bytes):
+            passes = both_modes()
+        for got, want in zip(passes, one_pass):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_small_passes_split_the_rows(self, exact_calls):
+        # at 8 B a pass holds one row: each row costs 8 B per point and slot
+        pool, x, _ = exact_pool(8, seed=8, pixels=10)
+        with mock.patch.object(adapt_module, "_PASS_BYTES", 8):
+            split = epsilon_star_exact_rows(pool, x)
+        assert [call[3].size for call in exact_calls] == [1] * 9  # one empty
+        for got, want in zip(split, epsilon_star_exact_rows(pool, x)):
+            assert np.array_equal(got, want)

@@ -84,7 +84,7 @@ def test_package_attributes_are_the_modules():
     import thermobg
     import thermobg.adapt as adapt_module
     import thermobg.fit as fit_module
-    assert callable(adapt_module._exact_chunk)
+    assert callable(adapt_module._search)
     assert callable(fit_module._seq_sum)
     for name in sorted(MODULES - {"__init__"}):
         module = importlib.import_module(f"{PACKAGE}.{name}")
