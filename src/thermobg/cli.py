@@ -28,7 +28,7 @@ from .core import MixtureModel, MixtureState, mixture_density
 from .engine import (ModelFormatError, PixelGrid, initialize_grid, load_grid,
                      process_frame, save_grid)
 from .fit import FitConfig, fit
-from .frameio import (FrameFormatError, FrameSequence, ForkedWriter, read_pgm,
+from .frameio import (FrameFormatError, FrameSequence, WriterProcess, read_pgm,
                       write_mask, write_pgm, write_posterior)
 from .metrics import ConfusionCounts, accumulate, metrics
 from .segment import SegmentationConfig
@@ -223,7 +223,7 @@ def cmd_run(args) -> int:
     """Stream the frames through the model and save the updated model.
 
     Once the inputs, the model and the output paths have been checked, a
-    child process is forked (frameio.ForkedWriter) that creates each
+    child process is started (frameio.WriterProcess) that creates each
     frame's mask and posterior files while the next frames are processed.
     It is reaped before the model is saved, also when the loop fails, so no
     process outlives the call, and a file that cannot be written leaves no
@@ -248,13 +248,14 @@ def cmd_run(args) -> int:
     out_model = args.out_model or os.path.join(args.outdir, "model.vimm")
     _make_parent(out_model)
     post_dir = os.path.join(args.outdir, "posterior")
-    outputs = [(args.outdir, set(names)), (os.path.dirname(
-        os.path.abspath(out_model)), {os.path.basename(out_model)})]
+    outputs = [(args.outdir, set(names), "a mask")]
     if args.save_posterior:
         os.makedirs(post_dir, exist_ok=True)
-        outputs.append((post_dir, set(names)))
+        outputs.append((post_dir, set(names), "a posterior"))
+    outputs.append((os.path.dirname(os.path.abspath(out_model)),
+                    {os.path.basename(out_model)}, "the model"))
     _check_outputs(inputs, outputs)
-    with ForkedWriter() as writer:
+    with WriterProcess() as writer:
         for i in range(seq.n_frames):
             mask = process_frame(grid, seq.frames[i], update=not args.freeze)
             write_mask(mask.labels, os.path.join(args.outdir, names[i]),
@@ -378,7 +379,7 @@ def cmd_synth_video(args) -> int:
     os.makedirs(gt_dir, exist_ok=True)
     quant = quantize_frames(seq)
     maxval = 255 if scenario.levels <= 256 else 65535
-    with ForkedWriter() as writer:
+    with WriterProcess() as writer:
         for t in range(seq.n_frames):
             name = f"frame_{t:06d}.pgm"
             write_pgm(quant[t], os.path.join(frames_dir, name), maxval, writer)
@@ -479,9 +480,10 @@ def _write_density_csv(path, models: dict, data) -> None:
 
 def _check_outputs(inputs, outputs) -> None:
     """Raise ValueError when two input files share a name, which their
-    frames' outputs are written under, or when an output is an input file.
-    ``outputs`` pairs each output directory with the names written there;
-    each distinct input directory is compared with each of them once."""
+    frames' outputs are written under, or when an output is an input file
+    or another output.  ``outputs`` gives each output directory with the
+    names written there and what they are; each directory is compared with
+    each one before it once, and only where their names meet."""
     first, by_dir = {}, {}
     for path in inputs:
         folder, name = os.path.split(path)
@@ -489,11 +491,13 @@ def _check_outputs(inputs, outputs) -> None:
             raise ValueError(f"frames {first[name]!r} and {path!r} would "
                              f"write the same output {name!r}")
         by_dir.setdefault(folder or os.curdir, set()).add(name)
-    for folder, names in by_dir.items():
-        for out_dir, out_names in outputs:
+    files = [(folder, names, "an input file")
+             for folder, names in by_dir.items()] + outputs
+    for i, (out_dir, out_names, what) in enumerate(files):
+        for folder, names, other in files[:i]:
             if names & out_names and os.path.samefile(folder, out_dir):
                 clash = os.path.join(out_dir, min(names & out_names))
-                raise ValueError(f"output {clash!r} is an input file")
+                raise ValueError(f"output {clash!r} is {other} and {what}")
 
 
 def _make_parent(path) -> None:

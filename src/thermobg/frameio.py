@@ -5,18 +5,19 @@ with declared geometry.  Masks are written as 8-bit PGM with foreground 255;
 posteriors as 16-bit PGM of round(p * 65535).  16-bit PGM samples are
 big-endian per the format; raw input declares its endianness.
 The readers return a FrameSequence.  The writers create each file either
-in the calling process or, given a ForkedWriter, in its child process.
-This module imports nothing else from the package, so every other layer
-can build on it.
+in the calling process or, given a WriterProcess, in a child process that
+runs the standard-library script _writer.py.  This module imports nothing
+else from the package, so every other layer can build on it.
 """
 
 from __future__ import annotations
 
-import gc
 import glob
 import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,7 @@ def encode_pgm(array, maxval: int | None = None) -> bytes:
 
 
 def write_pgm(array, path, maxval: int | None = None,
-              writer: ForkedWriter | None = None) -> None:
+              writer: WriterProcess | None = None) -> None:
     """Write a 2-D array as binary PGM (encode_pgm); through ``writer``'s
     child process when one is given."""
     data = encode_pgm(array, maxval)
@@ -132,7 +133,7 @@ def write_pgm(array, path, maxval: int | None = None,
         fh.write(data)
 
 
-def write_mask(labels, path, writer: ForkedWriter | None = None) -> None:
+def write_mask(labels, path, writer: WriterProcess | None = None) -> None:
     """Write a label array as 8-bit PGM: nonzero (foreground) 255, else 0."""
     labels = np.asarray(labels)
     write_pgm(np.where(labels > 0, 255, 0).astype(np.uint8), path, 255,
@@ -146,72 +147,50 @@ def read_mask(path) -> np.ndarray:
 
 
 def write_posterior(posterior, path,
-                    writer: ForkedWriter | None = None) -> None:
+                    writer: WriterProcess | None = None) -> None:
     """Quantize a [0, 1] posterior map to 16-bit PGM."""
     p = np.clip(np.asarray(posterior, dtype=np.float64), 0.0, 1.0)
     write_pgm(np.rint(p * 65535.0).astype(np.uint16), path, 65535, writer)
 
 
-# a record on the writer's pipe: path length and file length, then both;
-# a report back: the errno, then the path that failed
+# the record formats of _writer.py: a record on the writer's stdin is the
+# path's and the file's length, then both; a report back, the errno, then
+# the path that failed
 _RECORD = struct.Struct("<II")
 _REPORT = struct.Struct("<i")
+_WRITER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "_writer.py")
 
 
-class ForkedWriter:
-    """Creates files in a forked child process, in the order they are sent,
-    so that the loop sending them does not wait on the file system.
+class WriterProcess:
+    """Creates files in a child process, in the order they are sent, so
+    that the loop sending them does not wait on the file system.
 
-    The child is forked when the writer is made.  ``send`` hands it a path
-    and the file's bytes over a pipe; ``close``, or leaving a ``with``
-    block, ends the pipe and reaps the child, so once it returns every file
-    sent has been written and no process is left.  The child stops at the
-    first file it cannot write and reports the errno and the path; the next
-    ``send``, or ``close``, then raises an OSError of the same subclass
-    (IsADirectoryError, PermissionError, ...) for that path.  A ``with``
-    block that exits on an exception of its own keeps that exception.
-
-    Needs ``os.fork``: platforms without it are not supported.
+    The child, _writer.py run by this interpreter with only the standard
+    library, is started when the writer is made; it shares no memory with
+    this process.  ``send`` hands it a path and the file's bytes over a
+    pipe; ``close``, or leaving a ``with`` block, ends the pipe and reaps
+    the child, so once it returns every file sent has been written and no
+    process is left.  The child stops at the first file it cannot write and
+    reports the errno and the path; the next ``send``, or ``close``, then
+    raises an OSError of the same subclass (IsADirectoryError,
+    PermissionError, ...) for that path.  A ``with`` block that exits on an
+    exception of its own keeps that exception.
     """
 
     def __init__(self):
-        data_r, data_w = os.pipe()
-        report_r, report_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (data_r, data_w, report_r, report_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the child: serve the pipe, then exit, never return
-            status = 1
-            try:
-                # keep only the standard streams and this writer's two
-                # ends: an inherited end of another writer's pipe would
-                # keep that writer's child from ever seeing its pipe end
-                low, high = sorted((data_r, report_w))
-                os.closerange(3, low)
-                os.closerange(low + 1, high)
-                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-                # no collection, so no finalizer of the parent's objects
-                # (an unflushed file, say) runs a second time in here
-                gc.disable()
-                status = _serve(data_r, report_w)
-            finally:
-                os._exit(status)
-        os.close(data_r)
-        os.close(report_w)
-        self._pid = pid
-        self._pipe = os.fdopen(data_w, "wb")
-        self._report = report_r
+        self._proc = subprocess.Popen([sys.executable, "-I", "-S", _WRITER],
+                                      stdin=subprocess.PIPE,
+                                      stdout=subprocess.PIPE)
 
     def send(self, path, data: bytes) -> None:
         """Queue ``data`` to be written as the file ``path``."""
         name = os.fsencode(path)
+        pipe = self._proc.stdin
         try:
-            self._pipe.write(_RECORD.pack(len(name), len(data)))
-            self._pipe.write(name)
-            self._pipe.write(data)
+            pipe.write(_RECORD.pack(len(name), len(data)))
+            pipe.write(name)
+            pipe.write(data)
         except BrokenPipeError:  # the child has stopped: raise its error
             self.close()
             raise
@@ -219,26 +198,20 @@ class ForkedWriter:
     def close(self) -> None:
         """Wait until every file sent is written and the child has exited;
         raise the error that stopped it, if any.  Later calls do nothing."""
-        if self._pid is None:
-            return
-        pid, self._pid = self._pid, None
-        try:
-            self._pipe.close()
-        except BrokenPipeError:
-            pass  # the child stopped early; its report says why
-        finally:
-            _, status = os.waitpid(pid, 0)
-            with os.fdopen(self._report, "rb") as fh:
-                report = fh.read()
+        proc = self._proc
+        if proc.returncode is not None:
+            return  # reaped already
+        # closes stdin, ignoring a BrokenPipeError, and reads the report
+        report, _ = proc.communicate()
         if report:
             (errno,) = _REPORT.unpack_from(report)
             raise OSError(errno, os.strerror(errno),
                           os.fsdecode(report[_REPORT.size:]))
-        if status:
+        if proc.returncode:
             raise OSError(f"writer process exited with status "
-                          f"{os.waitstatus_to_exitcode(status)}")
+                          f"{proc.returncode}")
 
-    def __enter__(self) -> "ForkedWriter":
+    def __enter__(self) -> "WriterProcess":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -247,29 +220,6 @@ class ForkedWriter:
         except OSError:
             if exc_type is None:
                 raise  # else the exception leaving the block is reported
-
-
-def _serve(data_fd: int, report_fd: int) -> int:
-    """The writer child's loop: create each file read from the pipe until
-    it ends.  Returns the exit status: 0 at the end of the pipe, 1 after
-    reporting a file it could not write or at a truncated record."""
-    with os.fdopen(data_fd, "rb") as pipe:
-        while True:
-            head = pipe.read(_RECORD.size)
-            if not head:
-                return 0
-            if len(head) < _RECORD.size:
-                return 1
-            n_name, n_data = _RECORD.unpack(head)
-            name, data = pipe.read(n_name), pipe.read(n_data)
-            if len(name) < n_name or len(data) < n_data:
-                return 1
-            try:
-                with open(name, "wb") as fh:
-                    fh.write(data)
-            except OSError as exc:
-                os.write(report_fd, _REPORT.pack(exc.errno or 0) + name)
-                return 1
 
 
 def read_raw_sequence(path, width: int, height: int, depth: int = 16,

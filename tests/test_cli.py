@@ -359,6 +359,22 @@ class TestRun:
         if out != video:
             assert not list(out.glob("*.pgm"))
 
+    @pytest.mark.parametrize("target", ["mask", "posterior"])
+    def test_model_over_an_own_output_is_a_data_error(self, tmp_path,
+                                                      capsys, target):
+        # --out-model named like one of the run's masks or posteriors:
+        # exit 2 naming the file, before any mask is written
+        video, fitted = fitted_video(tmp_path, HISTORY + 2)
+        out = tmp_path / "out"
+        name = f"frame_{HISTORY:04d}.pgm"
+        final = out / name if target == "mask" else out / "posterior" / name
+        capsys.readouterr()
+        argv = run_argv(video, fitted, out, final, "--save-posterior")
+        assert main(argv) == EXIT_DATA
+        assert f"{final}' is a {target} and the model" in \
+            capsys.readouterr().err
+        assert not list(out.rglob("*.pgm"))
+
     def test_model_and_frame_size_mismatch_is_a_data_error(self, tmp_path):
         _, fitted = fitted_video(tmp_path, HISTORY)
         other = write_video(tmp_path / "other", 3, shape=(2, 2))

@@ -1,9 +1,11 @@
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from thermobg.frameio import (ForkedWriter, FrameFormatError, encode_pgm,
+from thermobg.frameio import (FrameFormatError, WriterProcess, encode_pgm,
                               read_mask, read_pgm, read_pgm_sequence,
                               read_raw_sequence, write_mask, write_pgm,
                               write_posterior)
@@ -135,7 +137,7 @@ class TestForkedWriter:
         here, child = tmp_path / "here", tmp_path / "child"
         here.mkdir()
         child.mkdir()
-        with ForkedWriter() as writer:
+        with WriterProcess() as writer:
             for t, arr in enumerate(frames):
                 for out, w in ((here, None), (child, writer)):
                     write_pgm(arr, out / f"f{t}.pgm", None, w)
@@ -152,7 +154,7 @@ class TestForkedWriter:
         # a directory in a file's place: the child stops there and the
         # parent raises IsADirectoryError for that path
         (tmp_path / "b.pgm").mkdir()
-        writer = ForkedWriter()
+        writer = WriterProcess()
         with pytest.raises(IsADirectoryError) as info:
             for name in ("a.pgm", "b.pgm", "c.pgm"):
                 writer.send(tmp_path / name, b"data")
@@ -166,7 +168,7 @@ class TestForkedWriter:
     def test_send_after_the_child_stopped_raises(self, tmp_path):
         # once the child has exited, a send that reaches the pipe raises
         # the child's error, not BrokenPipeError
-        writer = ForkedWriter()
+        writer = WriterProcess()
         writer.send(tmp_path / "missing" / "a.pgm", b"data")
         with pytest.raises(FileNotFoundError):
             for _ in range(1000):  # more than the pipe and its buffer hold
@@ -176,12 +178,42 @@ class TestForkedWriter:
     def test_an_exception_in_the_block_is_kept(self, tmp_path):
         (tmp_path / "a.pgm").mkdir()
         with pytest.raises(KeyError):
-            with ForkedWriter() as writer:
+            with WriterProcess() as writer:
                 writer.send(tmp_path / "a.pgm", b"data")
                 writer.send(tmp_path / "b.pgm", b"data")
                 raise KeyError("loop")
         assert_no_child()
         assert not (tmp_path / "b.pgm").exists()
+
+    def test_the_child_is_not_a_fork(self, tmp_path, monkeypatch):
+        # the child starts without a copy of this process: where os.fork
+        # fails, every file sent is still written
+        def no_fork():
+            raise OSError("os.fork called")
+        monkeypatch.setattr(os, "fork", no_fork)
+        with WriterProcess() as writer:
+            for t in range(3):
+                writer.send(tmp_path / f"f{t}.pgm", bytes([t]) * 5000)
+        assert_no_child()
+        for t in range(3):
+            assert (tmp_path / f"f{t}.pgm").read_bytes() == bytes([t]) * 5000
+
+    def test_the_child_ignores_sigint(self, tmp_path):
+        # an interrupt ends the stream loop, which then closes the pipe:
+        # the child writes what it was sent before it ends
+        writer = WriterProcess()
+        first = tmp_path / "a.pgm"
+        writer.send(first, bytes(8192))  # more than the send buffer holds
+        deadline = time.monotonic() + 30
+        while not first.exists():  # the child is past its start-up
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        os.kill(writer._proc.pid, signal.SIGINT)
+        writer.send(tmp_path / "b.pgm", b"data")
+        writer.close()
+        assert_no_child()
+        assert first.read_bytes() == bytes(8192)
+        assert (tmp_path / "b.pgm").read_bytes() == b"data"
 
 
 class TestRaw:

@@ -1,10 +1,12 @@
 """The package's import layering, read from the source with ast: frameio is
-a leaf, segment builds only on core, and no module imports itself back
-through the others.  And the package's attribute of each module's name is
-that module."""
+a leaf, segment builds only on core, no module imports itself back through
+the others, and the writer child's script imports only the standard
+library.  And the package's attribute of each module's name is that
+module."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -90,3 +92,17 @@ def test_package_attributes_are_the_modules():
         module = importlib.import_module(f"{PACKAGE}.{name}")
         assert isinstance(module, types.ModuleType)
         assert getattr(thermobg, name) is module, name
+
+
+def test_writer_child_imports_only_the_standard_library():
+    # frameio runs _writer.py in a fresh interpreter: an import of numpy or
+    # of the package there would be paid at every writer's start
+    tree = ast.parse((SRC / "_writer.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+    assert imported and imported <= sys.stdlib_module_names, imported

@@ -1,7 +1,7 @@
 """Smoke tests of the timing tools perf changes rely on:
 tools/interleave_frames.py, run on the package against itself, must exit 0
 and find the two trees' models identical; tools/run_phases.py must exit 0
-and split each call of the chain into its phases."""
+and split each call of the chain into its phases and page faults."""
 
 import subprocess
 import sys
@@ -31,7 +31,10 @@ def test_run_phases_splits_each_call():
     assert lines["fit"].startswith("fit: exit 0")
     run = lines["run0"]
     assert run.startswith("run0: exit 0") and "400 frames" in run
-    for phase in ("decode", "process_frame", "write", "close", "load",
-                  "save", "rest"):
+    for phase in ("decode", "start", "process_frame", "write", "close",
+                  "load", "save", "rest"):
         assert f" {phase} " in run, phase
     assert "400 sends" in run
+    for line in (lines["fit"], run):
+        assert line.endswith(" minor faults") and \
+            int(line.split("; ")[-1].split()[0]) > 0, line

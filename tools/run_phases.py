@@ -11,6 +11,7 @@ chain perfbench times through ``thermobg.cli.main``: ``fit``, then each
 every call it prints the call's seconds and the seconds spent in
 
 - decode: reading and decoding the input frames (read_pgm_sequence);
+- start: starting the writer process (frameio.WriterProcess);
 - process_frame: the summed process_frame calls;
 - write: encoding each mask and sending it to the writer process (cli's
   write_mask), with the number of sends that took over 1 ms and their
@@ -18,8 +19,9 @@ every call it prints the call's seconds and the seconds spent in
 - close: the writer's close, which waits until the files sent are written;
 - load and save: reading and writing the model file;
 - rest: the call less all of the above (the fit itself for ``fit``;
-  parsing, the writer's fork and the manifest for ``run``).
+  parsing and the manifest for ``run``),
 
+and the minor page faults the process took during the call (getrusage).
 So a change of perfbench's ``stream_fps`` can be put down to the frame loop
 or to the writer.  Exits 0 when every call succeeded, 1 when one failed, and
 2 on a usage error.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -42,7 +45,8 @@ from checks import P_BG, THRESHOLD  # noqa: E402
 from scenes import MIN_BLOB, SCENES, frame_name, render, write_pgm  # noqa: E402
 
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-PHASES = ("decode", "process_frame", "write", "close", "load", "save")
+PHASES = ("decode", "start", "process_frame", "write", "close", "load",
+          "save")
 STALL_S = 1e-3  # a send this long waited on the pipe
 
 
@@ -104,9 +108,10 @@ def child(spec_path) -> int:
 
     timed(frameio, "read_pgm_sequence", "decode")
     timed(cli, "process_frame", "process_frame")
+    timed(frameio.WriterProcess, "__init__", "start")
     timed(cli, "write_mask", "write")
-    timed(frameio.ForkedWriter, "send", None)
-    timed(frameio.ForkedWriter, "close", "close")
+    timed(frameio.WriterProcess, "send", None)
+    timed(frameio.WriterProcess, "close", "close")
     timed(cli, "load_grid", "load")
     timed(cli, "save_grid", "save")
 
@@ -124,17 +129,21 @@ def child(spec_path) -> int:
             seconds[phase] = 0.0
         sends.clear()
         frames[0] = 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         rc = cli.main(argv)
         total = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         stalls = [s for s in sends if s > STALL_S]
         rest = total - sum(seconds.values())
         parts = [f"{p} {seconds[p]:.4f} s" for p in PHASES]
-        parts[2] += (f" ({len(sends)} sends, {len(stalls)} over "
-                     f"{STALL_S * 1e3:g} ms: {sum(stalls):.4f} s)")
+        parts[PHASES.index("write")] += (
+            f" ({len(sends)} sends, {len(stalls)} over "
+            f"{STALL_S * 1e3:g} ms: {sum(stalls):.4f} s)")
         rate = f", {frames[0] / total:.0f} frames/s" if frames[0] else ""
         print(f"{name}: exit {rc}, {total:.4f} s, {frames[0]} frames{rate}; "
-              + ", ".join(parts) + f", rest {rest:.4f} s", flush=True)
+              + ", ".join(parts) + f", rest {rest:.4f} s; {faults} minor "
+              "faults", flush=True)
         failed = failed or rc != 0
     return 1 if failed else 0
 
